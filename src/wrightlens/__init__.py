@@ -53,7 +53,6 @@ from .membership import (
     caratheodory_series,
     convolution_kernel,
     convolution_scan,
-    epsilon_condition,
     membership_check,
     schwarz_generate,
     sufficiency_predicate,

@@ -40,9 +40,6 @@ __all__ = [
     "extraction_residuals",
 ]
 
-# Past this order the closed product moves to log space to dodge overflow.
-_LOG_SPACE_THRESHOLD = 50
-
 # Boundary slack when flagging |a_n| <= A_n: extremal inputs sit exactly on
 # the bound, so equality up to rounding counts as satisfied.
 _BOUND_SLACK = 1e-9
@@ -113,11 +110,6 @@ class BoundSequence:
         object.__setattr__(self, "values", arr)
 
 
-def _product_factor(cp: ClassParams, k: int) -> float:
-    lam, big_l = cp.lam, cp.Lambda
-    return ((k + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + k * lam) * big_l) / (k + 2)
-
-
 def bound_sequence_recursive(
     cp: ClassParams, wp: WrightParams, n_max: int
 ) -> BoundSequence:
@@ -131,57 +123,43 @@ def bound_sequence_recursive(
     ph = phi_values(wp, n_max)
     lam, big_l = cp.lam, cp.Lambda
     values = np.empty(n_max)
-    values[0] = (1.0 - 2.0 * lam) * big_l / ((1.0 - lam) * ph[0])
-    running = 1.0 - 2.0 * lam
-    for n in range(1, n_max):
-        running += ph[n - 1] * (1.0 - lam + n * lam) * values[n - 1]
-        values[n] = 2.0 * big_l * running / ((n + 2) * (1.0 - lam) * ph[n])
+    # Values past the double range turn inf/nan; BoundSequence reports them.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values[0] = (1.0 - 2.0 * lam) * big_l / ((1.0 - lam) * ph[0])
+        running = 1.0 - 2.0 * lam
+        for n in range(1, n_max):
+            running += ph[n - 1] * (1.0 - lam + n * lam) * values[n - 1]
+            values[n] = 2.0 * big_l * running / ((n + 2) * (1.0 - lam) * ph[n])
     return BoundSequence(values, cp, wp, "recursive")
 
 
 def bound_sequence_closed(
     cp: ClassParams, wp: WrightParams, n_max: int
 ) -> BoundSequence:
-    """A_n = L(1-2*lam) / ((1-lam)^n phi_n) * prod_{k<n} factor_k.
+    """A_n = w_n / phi_n with w_n = phi_n A_n the product of :func:`operator_weights`.
 
-    The empty product reproduces A_1 from the first defining relation.  For
-    n_max beyond 50 the product accumulates in log space so intermediate
-    factors cannot overflow before A_n itself does.
+    The quotient is formed in log space with the sign of the gamma factor
+    carried,
+
+        log A_n = log w_n + log|Gamma(alpha*n + beta)| + log n!,
+
+    so nothing overflows before A_n itself does; that raises
+    :class:`OverflowError` naming the index.
     """
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
-    lam, big_l = cp.lam, cp.Lambda
-    prefactor = big_l * (1.0 - 2.0 * lam)
+    wp.check_indices(n_max)
+    with np.errstate(over="ignore"):
+        weights = operator_weights(cp, wp, n_max)
     values = np.empty(n_max)
-    if n_max <= _LOG_SPACE_THRESHOLD:
-        ph = phi_values(wp, n_max)
-        product = 1.0
-        scale = 1.0
-        for n in range(1, n_max + 1):
-            scale *= 1.0 - lam
-            if n > 1:
-                product *= _product_factor(cp, n - 1)
-            values[n - 1] = prefactor * product / (scale * ph[n - 1])
-    else:
-        wp.check_indices(n_max)
-        log_pref = math.log(prefactor)
-        log_product = 0.0
-        for n in range(1, n_max + 1):
-            if n > 1:
-                log_product += math.log(_product_factor(cp, n - 1))
-            sign, log_abs = signed_lgamma(wp.alpha * n + wp.beta)
-            _, log_fact = signed_lgamma(n + 1.0)
-            # -log phi_n = log Gamma + log n!
-            log_a = (
-                log_pref + log_product - n * math.log(1.0 - lam) + log_abs + log_fact
-            )
-            try:
-                values[n - 1] = sign * math.exp(log_a)
-            except OverflowError:
-                raise OverflowError(
-                    f"A_{n} exceeds the floating-point range even in log space "
-                    f"(log A_{n} = {log_a:.3f})"
-                ) from None
+    for n in range(1, n_max + 1):
+        sign, log_abs = signed_lgamma(wp.alpha * n + wp.beta)
+        _, log_fact = signed_lgamma(n + 1.0)
+        log_a = math.log(weights[n - 1]) + log_abs + log_fact
+        try:
+            values[n - 1] = sign * math.exp(log_a)
+        except OverflowError:
+            raise OverflowError(
+                f"A_{n} exceeds the floating-point range (log A_{n} = {log_a:.3f})"
+            ) from None
     return BoundSequence(values, cp, wp, "closed")
 
 
@@ -196,11 +174,12 @@ def operator_weights(cp: ClassParams, wp: WrightParams, n_max: int) -> np.ndarra
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
-    lam = cp.lam
+    lam, big_l = cp.lam, cp.Lambda
     weights = np.empty(n_max)
-    weights[0] = cp.Lambda * (1.0 - 2.0 * lam) / (1.0 - lam)
+    weights[0] = big_l * (1.0 - 2.0 * lam) / (1.0 - lam)
     for n in range(1, n_max):
-        weights[n] = weights[n - 1] * _product_factor(cp, n) / (1.0 - lam)
+        factor = ((n + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + n * lam) * big_l) / (n + 2)
+        weights[n] = weights[n - 1] * factor / (1.0 - lam)
     return weights
 
 

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -28,11 +29,12 @@ from .errors import (
 )
 from .laurent import (
     GridSpec,
+    _read_indexed_csv,
     polar_grid,
     read_coefficient_csv,
     write_coefficient_csv,
 )
-from .special import WrightParams, wright_eval
+from .special import WrightParams, phi_values, wright_eval
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -118,8 +120,6 @@ def cmd_wright(args) -> int:
 
 
 def cmd_phi_table(args) -> int:
-    from .special import phi_values
-
     params = WrightParams.for_indices(args.alpha, args.beta, args.n_max)
     values = phi_values(params, args.n_max)
     print(
@@ -150,56 +150,21 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _read_weights_file(path) -> np.ndarray:
-    """Weight file: header ``n,weight``; absent indices are zero."""
-    import csv as _csv
+def _radius_queries(args, kind: str):
+    """(rho -> query, source description); source priority: extremal, file, class.
 
-    entries: dict[int, float] = {}
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise CoefficientFileError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        saw_header = False
-        for line_no, row in enumerate(_csv.reader(handle), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if not saw_header:
-                if [c.strip().lower() for c in row[:2]] != ["n", "weight"]:
-                    raise CoefficientFileError(
-                        f"line {line_no}: expected header 'n,weight'", line=line_no
-                    )
-                saw_header = True
-                continue
-            try:
-                n, value = int(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise CoefficientFileError(
-                    f"line {line_no}: {exc}", line=line_no
-                ) from exc
-            if n < 1 or n in entries:
-                raise CoefficientFileError(
-                    f"line {line_no}: bad or duplicate index {n}", line=line_no
-                )
-            entries[n] = value
-        if not saw_header:
-            raise CoefficientFileError("weight file has no 'n,weight' header")
-    if not entries:
-        raise CoefficientFileError("weight file lists no weights")
-    out = np.zeros(max(entries))
-    for n, value in entries.items():
-        out[n - 1] = value
-    return out
-
-
-def _radius_query(args, kind: str, rho: float):
-    """(query, source-description); source priority: extremal, file, class."""
+    The weight source is resolved once, so a curve reuses it for every rho.
+    """
     if args.extremal_n is not None:
-        q = radii_mod.single_weight_query(kind, rho, args.extremal_n, args.tol)
-        return q, f"extremal_n={args.extremal_n}"
+        k = args.extremal_n
+        query = partial(radii_mod.single_weight_query, kind, dominant_n=k, tol=args.tol)
+        return query, f"extremal_n={k}"
     if args.weights is not None:
-        w = _read_weights_file(args.weights)
-        return radii_mod.RadiusQuery(rho, kind, w, args.tol), f"weights={args.weights}"
+        w = _read_indexed_csv(args.weights, ("n", "weight"))[:, 0]
+        if not w.size:
+            raise CoefficientFileError("weight file lists no weights")
+        query = partial(radii_mod.RadiusQuery, kind=kind, weights=w, tol=args.tol)
+        return query, f"weights={args.weights}"
     if args.theta is None or args.lam is None or args.gamma is None:
         raise ParameterError(
             "radius needs --extremal-n, --weights, or full class parameters "
@@ -209,35 +174,34 @@ def _radius_query(args, kind: str, rho: float):
         raise ParameterError("class-parameter weights need --alpha and --beta")
     cp = bounds_mod.ClassParams(args.theta, args.lam, args.gamma)
     model = lambda k: bounds_mod.operator_weights(cp, _wright_params(args), k)
-    q = radii_mod.RadiusQuery(
-        rho, kind, model(args.n_max), args.tol, weight_model=model
+    query = partial(
+        radii_mod.RadiusQuery, kind=kind, weights=model(args.n_max), tol=args.tol,
+        weight_model=model,
     )
-    return q, "class_params"
+    return query, "class_params"
 
 
 def cmd_radius(args) -> int:
     kind = {"star": "starlike", "convex": "convex"}[args.kind]
-    truncation_hit = False
+    if args.curve and args.steps < 1:
+        raise ParameterError(f"--steps must be >= 1, got {args.steps!r}")
+    query, source = _radius_queries(args, kind)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         if args.curve:
-            if args.steps < 1:
-                raise ParameterError(f"--steps must be >= 1, got {args.steps!r}")
-            rhos = np.arange(args.steps) / args.steps
             rows = []
-            source = None
-            for rho in rhos:
-                q, source = _radius_query(args, kind, float(rho))
+            for rho in np.arange(args.steps) / args.steps:
+                q = query(float(rho))
                 rows.append((float(rho), radii_mod.solve_radius(q).radius))
             print(
                 f"# params: kind={args.kind} curve=True steps={args.steps} "
-                f"source={source} n_max={len(q.weights)} tol={_fmt(args.tol)}"
+                f"source={source} n_max={q.n_max} tol={_fmt(args.tol)}"
             )
             print("rho,radius")
             for rho, radius in rows:
                 print(f"{rho!r},{radius!r}")
         else:
-            q, source = _radius_query(args, kind, args.rho)
+            q = query(args.rho)
             result = radii_mod.solve_radius(q)
             print(
                 f"# params: kind={args.kind} rho={_fmt(args.rho)} source={source} "

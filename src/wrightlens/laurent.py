@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoefficientFileError, EvalDomainError, ParameterError
+from .errors import (
+    CoefficientFileError,
+    EvalDomainError,
+    ParameterError,
+    SeriesDivisionError,
+)
 from .special import WrightParams, phi_values
 
 __all__ = [
@@ -27,6 +32,7 @@ __all__ = [
     "z_derivative",
     "lambda_mix",
     "evaluate",
+    "evaluate_ratio",
     "polar_grid",
     "read_coefficient_csv",
     "write_coefficient_csv",
@@ -158,6 +164,20 @@ def evaluate(f: LaurentSeries, z):
     return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 
+def evaluate_ratio(num: LaurentSeries, den: LaurentSeries, z):
+    """num(z) / den(z) for a scalar or an ndarray of points, as :func:`evaluate`.
+
+    A denominator that vanishes at a point raises
+    :class:`SeriesDivisionError` carrying the first such point.
+    """
+    top, bottom = evaluate(num, z), evaluate(den, z)
+    zero = np.asarray(bottom) == 0
+    if np.any(zero):
+        bad = complex(np.asarray(z, dtype=complex)[zero].ravel()[0])
+        raise SeriesDivisionError(f"denominator vanishes at z={bad!r}", at=bad)
+    return top / bottom
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Polar sampling grid: log-spaced radii crossed with uniform angles."""
@@ -188,14 +208,16 @@ def polar_grid(spec: GridSpec, r_max: float | None = None) -> np.ndarray:
     return np.outer(radii, angles).ravel()
 
 
-def read_coefficient_csv(path) -> LaurentSeries:
-    """Read a tail-coefficient file: header ``n,re,im``, one row per n >= 1.
+def _read_indexed_csv(path, header: tuple[str, ...]) -> np.ndarray:
+    """Read rows ``n,v_1,..,v_k`` under a k+1 column ``header`` into a table.
 
-    Indices may appear in any order; absent indices are zero.  The principal
-    part is implicitly 1.  Lines starting with ``#`` are ignored.  Malformed
-    content raises :class:`CoefficientFileError` with the offending line.
+    The table has shape (max n, k) and row n >= 1 fills table row n-1;
+    indices may appear in any order and absent ones are zero.  Lines
+    starting with ``#`` are ignored.  Malformed content raises
+    :class:`CoefficientFileError` with the offending line.
     """
-    entries: dict[int, complex] = {}
+    name = ",".join(header)
+    entries: dict[int, list[float]] = {}
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -206,40 +228,43 @@ def read_coefficient_csv(path) -> LaurentSeries:
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             if not saw_header:
-                if [c.strip().lower() for c in row[:3]] != ["n", "re", "im"]:
+                if [c.strip().lower() for c in row[: len(header)]] != list(header):
                     raise CoefficientFileError(
-                        f"line {line_no}: expected header 'n,re,im'", line=line_no
+                        f"line {line_no}: expected header '{name}'", line=line_no
                     )
                 saw_header = True
                 continue
-            if len(row) != 3:
+            if len(row) != len(header):
                 raise CoefficientFileError(
-                    f"line {line_no}: expected 3 fields, got {len(row)}", line=line_no
+                    f"line {line_no}: expected {len(header)} fields, got {len(row)}",
+                    line=line_no,
                 )
             try:
                 n = int(row[0])
-                value = complex(float(row[1]), float(row[2]))
+                values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise CoefficientFileError(
                     f"line {line_no}: {exc}", line=line_no
                 ) from exc
-            if n < 1:
+            if n < 1 or n in entries:
+                problem = "is below 1" if n < 1 else "is a duplicate"
                 raise CoefficientFileError(
-                    f"line {line_no}: coefficient index must be >= 1, got {n}",
-                    line=line_no,
+                    f"line {line_no}: index {n} {problem}", line=line_no
                 )
-            if n in entries:
-                raise CoefficientFileError(
-                    f"line {line_no}: duplicate coefficient index {n}", line=line_no
-                )
-            entries[n] = value
+            entries[n] = values
         if not saw_header:
-            raise CoefficientFileError("file has no 'n,re,im' header line")
-    n_max = max(entries) if entries else 0
-    coeffs = np.zeros(n_max, dtype=complex)
-    for n, value in entries.items():
-        coeffs[n - 1] = value
-    return LaurentSeries(1.0, coeffs)
+            raise CoefficientFileError(f"file has no '{name}' header line")
+    table = np.zeros((max(entries, default=0), len(header) - 1))
+    for n, values in entries.items():
+        table[n - 1] = values
+    return table
+
+
+def read_coefficient_csv(path) -> LaurentSeries:
+    """Read an ``n,re,im`` file (see :func:`_read_indexed_csv`); principal 1."""
+    table = _read_indexed_csv(path, ("n", "re", "im"))
+    # each C-ordered (re, im) row is one complex value
+    return LaurentSeries(1.0, table.view(complex)[:, 0])
 
 
 def write_coefficient_csv(stream, f: LaurentSeries, params_comment: str) -> None:

@@ -37,6 +37,7 @@ from .laurent import (
     TaylorSeries,
     apply_operator,
     evaluate,
+    evaluate_ratio,
     hadamard,
     lambda_mix,
     polar_grid,
@@ -58,7 +59,6 @@ __all__ = [
     "convolution_kernel",
     "convolution_scan",
     "sufficiency_predicate",
-    "epsilon_condition",
 ]
 
 _MEMBERSHIP_TOL = 1e-9
@@ -127,6 +127,12 @@ def _tau_constants(cp: ClassParams) -> tuple[complex, float, float]:
     return shift, denom, one_m2
 
 
+def _ratio(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
+    """R(z): the z-derivative over the lambda mix of the operator image H."""
+    h = apply_operator(wp, f)
+    return evaluate_ratio(z_derivative(h), lambda_mix(h, cp.lam), z)
+
+
 def tau_transform(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
     """tau(z) = [e^{i theta} R(z) + shift] / denom for scalar or array z.
 
@@ -134,18 +140,8 @@ def tau_transform(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
     image; a vanishing mix denominator raises :class:`SeriesDivisionError`
     carrying the offending point.
     """
-    h = apply_operator(wp, f)
-    num = evaluate(z_derivative(h), z)
-    den = evaluate(lambda_mix(h, cp.lam), z)
-    den_arr = np.asarray(den)
-    zero = np.abs(den_arr) == 0.0
-    if np.any(zero):
-        bad = np.asarray(z, dtype=complex)[zero].ravel()[0] if den_arr.ndim else z
-        raise SeriesDivisionError(
-            f"mix denominator vanishes at z={complex(bad)!r}", at=complex(bad)
-        )
     shift, denom, _ = _tau_constants(cp)
-    return (cmath.exp(1j * cp.theta) * num / den + shift) / denom
+    return (cmath.exp(1j * cp.theta) * _ratio(f, cp, wp, z) + shift) / denom
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,7 @@ def membership_check(
         values = tau_transform(f, cp, wp, pts)
     except SeriesDivisionError as exc:
         return MembershipReport(
-            math.nan, complex(exc.at) if exc.at is not None else 0j, grid,
-            "inconclusive", diagnostic=str(exc),
+            math.nan, exc.at, grid, "inconclusive", diagnostic=str(exc)
         )
     re = np.real(values)
     idx = int(np.argmin(re))
@@ -217,15 +212,10 @@ def caratheodory_series(w: SchwarzFunction, n_max: int) -> TaylorSeries:
     With inv = (1-w)^{-1} the product telescopes: tau_0 = 1 and
     tau_n = 2 * inv_n for n >= 1.
     """
-    wc = w.taylor(n_max)
-    inv = np.zeros(n_max + 1, dtype=complex)
-    inv[0] = 1.0
-    m = len(w.coeffs)
-    for n in range(1, n_max + 1):
-        acc = 0j
-        for k in range(1, min(n, m) + 1):
-            acc += wc[k] * inv[n - k]
-        inv[n] = acc
+    one = np.zeros(n_max + 1, dtype=complex)
+    one[0] = 1.0
+    # 1 - w has len(w.coeffs) + 1 terms; passing only those keeps this O(n*m)
+    inv = _series_divide(one, np.concatenate(([1.0], -w.coeffs)))
     tau = 2.0 * inv
     tau[0] = 1.0
     return TaylorSeries(tau)
@@ -267,7 +257,9 @@ def schwarz_generate(
     and f recovers its coefficients by dividing out the kernel: a_n =
     h_n / phi_n.  g_0 = -1 is forced by construction and is re-checked; a
     mismatch raises :class:`ConsistencyError`.  When lam > 0 the divisor
-    1 - lam A(z) is screened for zeros on a coarse sample grid first.
+    1 - lam A(z) is screened for zeros on a coarse sample grid first.  An
+    a_n outside the double range (phi_n underflows past the order cap)
+    raises :class:`OverflowError` naming the first such index.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
@@ -299,7 +291,11 @@ def schwarz_generate(
         for k in range(1, n):
             acc += g[n - k] * h[k]
         h[n] = acc / (n + 1)
-    coeffs = h[1:] / phi_values(wp, n_max)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeffs = h[1:] / phi_values(wp, n_max)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise OverflowError(f"a_{bad[0] + 1} exceeds the floating-point range")
     return LaurentSeries(1.0, coeffs)
 
 
@@ -404,15 +400,8 @@ def sufficiency_predicate(
     sufficient for membership; the grid version witnesses only the sampled
     points.
     """
-    h = apply_operator(wp, f)
     pts = polar_grid(grid)
-    num = evaluate(z_derivative(h), pts)
-    den = evaluate(lambda_mix(h, cp.lam), pts)
-    zero = np.abs(den) == 0.0
-    if np.any(zero):
-        bad = complex(pts[zero][0])
-        raise SeriesDivisionError(f"mix denominator vanishes at z={bad!r}", at=bad)
-    offsets = np.abs(num / den + 1.0)
+    offsets = np.abs(_ratio(f, cp, wp, pts) + 1.0)
     idx = int(np.argmax(offsets))
     threshold = (1.0 + cp.gamma) * math.cos(cp.theta)
     return SufficiencyReport(
@@ -420,16 +409,3 @@ def sufficiency_predicate(
         complex(pts[idx]),
     )
 
-
-def epsilon_condition(cp: ClassParams, epsilon: float) -> bool:
-    """The raw epsilon-form hypothesis cos(theta) <= (epsilon-1)/(1+gamma).
-
-    For |theta| < pi/2 the left side is positive while the right side is
-    nonpositive for epsilon in [0, 1), so this is unsatisfiable on the valid
-    parameter domain; the operational sufficiency test is the threshold
-    (1+gamma) cos(theta) used by :func:`sufficiency_predicate`.  Retained
-    for reference.
-    """
-    if not (0.0 <= epsilon < 1.0):
-        raise ParameterError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    return math.cos(cp.theta) <= (epsilon - 1.0) / (1.0 + cp.gamma)

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, SeriesDivisionError, TruncationWarning
-from .laurent import GridSpec, LaurentSeries, evaluate, polar_grid, z_derivative
+from .errors import ParameterError, TruncationWarning
+from .laurent import GridSpec, LaurentSeries, evaluate_ratio, polar_grid, z_derivative
 
 __all__ = [
     "RadiusQuery",
@@ -245,12 +245,7 @@ def starlike_predicate(
     """
     _check_predicate_args(rho, r)
     pts = polar_grid(grid, r_max=r)
-    den = evaluate(h, pts)
-    zero = np.abs(den) == 0.0
-    if np.any(zero):
-        bad = complex(pts[zero][0])
-        raise SeriesDivisionError(f"series vanishes at z={bad!r}", at=bad)
-    q = evaluate(z_derivative(h), pts) / den + 1.0
+    q = evaluate_ratio(z_derivative(h), h, pts) + 1.0
     return _predicate_report("starlike", rho, r, pts, q)
 
 
@@ -260,23 +255,14 @@ def convex_predicate(
     """Check |z h''(z)/h'(z) + 2| <= 1 - rho on a polar grid of radius <= r.
 
     Uses z h'' + 2 h' = sum n(n+1) a_n z^{n-1}: the pole contributions cancel
-    exactly, so the numerator is a plain polynomial.  A zero of h' on the
-    grid raises :class:`SeriesDivisionError`.
+    exactly, so with numerator and denominator both multiplied by z the
+    numerator is the series sum n(n+1) a_n z^n.  A zero of h' on the grid
+    raises :class:`SeriesDivisionError`.
     """
     _check_predicate_args(rho, r)
     pts = polar_grid(grid, r_max=r)
     n = np.arange(1, h.truncation + 1)
-    if h.truncation:
-        numer = np.polyval((n * (n + 1) * h.coeffs)[::-1], pts)
-        deriv_tail = np.polyval((n * h.coeffs)[::-1], pts)
-    else:
-        numer = np.zeros_like(pts)
-        deriv_tail = np.zeros_like(pts)
-    den = -h.principal / pts**2 + deriv_tail
-    zero = np.abs(den) == 0.0
-    if np.any(zero):
-        bad = complex(pts[zero][0])
-        raise SeriesDivisionError(f"derivative vanishes at z={bad!r}", at=bad)
-    # (z h'' + 2 h') / h' IS the quantity z h''/h' + 2; no further shift.
-    q = numer / den
+    numer = LaurentSeries(0.0, n * (n + 1) * h.coeffs)
+    # z (z h'' + 2 h') / (z h') IS the quantity z h''/h' + 2; no further shift.
+    q = evaluate_ratio(numer, z_derivative(h), pts)
     return _predicate_report("convex", rho, r, pts, q)

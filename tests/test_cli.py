@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,30 @@ class TestRadiusCommand:
         assert code == 0
         assert out.startswith("# params: ")
 
+    @pytest.mark.parametrize(
+        "content,line",
+        [
+            ("n,weight\n1,1.0,2.0\n", 2),
+            ("n,weight\n1\n", 2),
+            ("n,weight\n0,1.0\n", 2),
+            ("# moduli\nn,weight\n2,0.5\n2,0.5\n", 4),
+            ("n,weight\n1,abc\n", 2),
+        ],
+    )
+    def test_malformed_weights_file_exits_5(self, capsys, tmp_path, content, line):
+        path = tmp_path / "weights.csv"
+        path.write_text(content)
+        code, _, err = run(capsys, "radius", "star", "--weights", str(path))
+        assert code == 5
+        assert f"line {line}" in err
+
+    def test_weights_file_without_weights_exits_5(self, capsys, tmp_path):
+        path = tmp_path / "weights.csv"
+        path.write_text("n,weight\n")
+        code, _, err = run(capsys, "radius", "star", "--curve", "--weights", str(path))
+        assert code == 5
+        assert "lists no weights" in err
+
     def test_missing_source_exits_2(self, capsys):
         code, _, _ = run(capsys, "radius", "star", "--rho", "0")
         assert code == 2
@@ -300,3 +325,24 @@ class TestVerifyIdentities:
     def test_needs_a_source(self, capsys):
         code, _, _ = run(capsys, "verify-identities", *self.CLASS_ARGS)
         assert code == 2
+
+
+class TestPastOrderCap:
+    """Orders whose a_n or A_n leave the double range fail as numerical errors."""
+
+    @pytest.mark.parametrize("alpha,beta", [(0, 1), (1, 1), (0.5, 1.5)])
+    @pytest.mark.parametrize(
+        "command",
+        [["bounds"], ["generate", "--schwarz", "0,0.4"],
+         ["verify-identities", "--schwarz", "0,0.4"]],
+        ids=["bounds", "generate", "verify-identities"],
+    )
+    def test_exits_3_without_runtime_warning(self, capsys, command, alpha, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(
+                capsys, *command, "--theta", "0.6", "--lam", "0.2", "--gamma", "2",
+                "--alpha", str(alpha), "--beta", str(beta), "--n-max", "200",
+            )
+        assert code == 3
+        assert "exceeds the floating-point range" in err

@@ -11,17 +11,20 @@ from wrightlens import (
     LaurentSeries,
     ParameterError,
     SchwarzFunction,
+    SeriesDivisionError,
     WrightParams,
     a_of_t,
+    apply_operator,
     bound_sequence_closed,
     caratheodory_series,
     convolution_kernel,
     convolution_scan,
-    epsilon_condition,
+    convex_predicate,
     membership_check,
     phi_values,
     polar_grid,
     schwarz_generate,
+    starlike_predicate,
     sufficiency_predicate,
     tau_transform,
 )
@@ -284,11 +287,6 @@ class TestSufficiency:
         assert report.threshold < 1.0
         assert not report.holds
 
-    def test_epsilon_condition_vacuous(self):
-        for cp in class_grid():
-            assert not epsilon_condition(cp, 0.0)
-            assert not epsilon_condition(cp, 0.99)
-
 
 class TestGeneratorConsistencyGuard:
     def test_healthy_inputs_pass_guard(self):
@@ -300,3 +298,56 @@ class TestGeneratorConsistencyGuard:
 
     def test_consistency_error_type_exists(self):
         assert issubclass(ConsistencyError, ArithmeticError)
+
+
+class TestZeroDenominatorGuard:
+    """H = 1/z - 4z vanishes exactly at z = 0.5, a grid point when r_max = 0.5.
+
+    phi_1 = 1 for each Wright pair below, so the operator image is exact.
+    """
+
+    GRID = GridSpec(r_max=0.5)
+
+    @pytest.fixture(params=[(0.0, 1.0), (1.0, 1.0), (0.5, 1.5)])
+    def case(self, request):
+        wp = WrightParams(*request.param)
+        return LaurentSeries(1.0, [-4.0 / phi_values(wp, 1)[0]]), wp
+
+    def test_grid_holds_the_zero(self, case):
+        f, wp = case
+        assert 0.5 in polar_grid(self.GRID)
+        assert apply_operator(wp, f).coeffs[0] == -4.0
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_tau_transform(self, case, scalar):
+        f, wp = case
+        z = 0.5 if scalar else polar_grid(self.GRID)
+        with pytest.raises(SeriesDivisionError) as excinfo:
+            tau_transform(f, CP, wp, z)
+        assert excinfo.value.at == 0.5
+
+    def test_sufficiency_predicate(self, case):
+        f, wp = case
+        with pytest.raises(SeriesDivisionError) as excinfo:
+            sufficiency_predicate(f, CP, wp, self.GRID)
+        assert excinfo.value.at == 0.5
+
+    def test_membership_check_inconclusive(self, case):
+        f, wp = case
+        report = membership_check(f, CP, wp, self.GRID)
+        assert report.verdict == "inconclusive"
+        assert report.argmin_z == 0.5
+        assert math.isnan(report.min_re_tau)
+        assert "vanishes" in report.diagnostic
+
+    def test_starlike_predicate(self, case):
+        f, wp = case
+        with pytest.raises(SeriesDivisionError) as excinfo:
+            starlike_predicate(apply_operator(wp, f), 0.0, 0.5)
+        assert excinfo.value.at == 0.5
+
+    def test_convex_predicate(self):
+        # h' = -1/z^2 + 4 vanishes at z = 0.5
+        with pytest.raises(SeriesDivisionError) as excinfo:
+            convex_predicate(LaurentSeries(1.0, [4.0]), 0.0, 0.5)
+        assert excinfo.value.at == 0.5
