@@ -213,7 +213,8 @@ def _read_indexed_csv(path, header: tuple[str, ...]) -> np.ndarray:
 
     The table has shape (max n, k) and row n >= 1 fills table row n-1;
     indices may appear in any order and absent ones are zero.  Lines
-    starting with ``#`` are ignored.  Malformed content raises
+    starting with ``#`` are ignored.  Malformed content, a non-finite value
+    included, raises
     :class:`CoefficientFileError` with the offending line.
     """
     name = ",".join(header)
@@ -242,6 +243,8 @@ def _read_indexed_csv(path, header: tuple[str, ...]) -> np.ndarray:
             try:
                 n = int(row[0])
                 values = [float(v) for v in row[1:]]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"values must be finite, got {row[1:]}")
             except ValueError as exc:
                 raise CoefficientFileError(
                     f"line {line_no}: {exc}", line=line_no

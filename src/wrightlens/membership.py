@@ -64,6 +64,7 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-9
 _ETA_TOL = 1e-12
 _G0_TOL = 1e-10
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +300,30 @@ def schwarz_generate(
     return LaurentSeries(1.0, coeffs)
 
 
+def _kernel_parts(
+    cp: ClassParams, wp: WrightParams, n_max: int
+) -> tuple[LaurentSeries, LaurentSeries]:
+    """(K0, K1) with K(eta) = K0 + eta * K1; see :func:`convolution_kernel`.
+
+    With C(eta) = c_plus (1 + eta) + c_minus (1 - eta), the eta^0 part takes
+    the sign s = +1 on every (1 - eta) term and the eta^1 part s = -1.
+    """
+    theta, lam, gam = cp.theta, cp.lam, cp.gamma
+    one_m2 = 1.0 - 2.0 * lam
+    c_plus = math.cos(theta) * (1.0 + gam * one_m2)
+    c_minus = -gam * math.cos(theta) * one_m2 + 1j * math.sin(theta)
+    phase = cmath.exp(-1j * theta)
+    ph = phi_values(wp, n_max)
+    n = np.arange(1, n_max + 1)
+    deriv, mix = n * ph, (1.0 - lam + lam * n) * ph
+
+    def part(s: float) -> LaurentSeries:
+        d, m = s * one_m2, phase * (c_plus + s * c_minus)
+        return LaurentSeries(-d + m, d * deriv + m * mix)
+
+    return part(1.0), part(-1.0)
+
+
 def convolution_kernel(
     cp: ClassParams, wp: WrightParams, eta: complex, n_max: int
 ) -> LaurentSeries:
@@ -317,19 +342,10 @@ def convolution_kernel(
         raise ParameterError(f"|eta| must equal 1 within {_ETA_TOL}, got {eta!r}")
     if abs(eta - 1.0) <= _ETA_TOL:
         raise ParameterError("eta = 1 is excluded")
-    theta, lam, gam = cp.theta, cp.lam, cp.gamma
-    one_m2 = 1.0 - 2.0 * lam
-    c_eta = (
-        -gam * math.cos(theta) * one_m2 * (1.0 - eta)
-        + 1j * math.sin(theta) * (1.0 - eta)
-        + (1.0 + eta) * math.cos(theta) * (1.0 + gam * one_m2)
+    k0, k1 = _kernel_parts(cp, wp, n_max)
+    return LaurentSeries(
+        k0.principal + eta * k1.principal, k0.coeffs + eta * k1.coeffs
     )
-    phase = cmath.exp(-1j * theta)
-    ph = phi_values(wp, n_max)
-    n = np.arange(1, n_max + 1)
-    principal = one_m2 * (1.0 - eta) * (-1.0) + phase * c_eta
-    coeffs = one_m2 * (1.0 - eta) * n * ph + phase * c_eta * (1.0 - lam + lam * n) * ph
-    return LaurentSeries(principal, coeffs)
 
 
 @dataclass(frozen=True)
@@ -361,23 +377,37 @@ def convolution_scan(
     eta runs over the eta_count-th roots of unity with eta = 1 dropped, so
     counts that divide each other give nested grids.  A minimum below tol
     certifies f is outside the class.
+
+    The kernel is affine in eta, K(eta) = K0 + eta * K1, so f * K(eta) =
+    X + eta * Y with X = f * K0 and Y = f * K1.  X and Y are evaluated on
+    the grid once; each eta then costs one O(points) pass over |X + eta Y|.
+    Moduli within a relative _TIE_RTOL of a minimum count as tied (for an
+    odd f, z and -z agree to rounding): the first tied grid point and the
+    first tied eta are reported, so the report does not hang on the order
+    of the floating-point operations.
     """
     if eta_count < 8:
         raise ParameterError(f"eta_count must be >= 8, got {eta_count!r}")
     pts = polar_grid(grid)
+    k0, k1 = _kernel_parts(cp, wp, max(f.truncation, 1))
+    x = evaluate(hadamard(f, k0), pts)
+    y = evaluate(hadamard(f, k1), pts)
     scans = []
     for j in range(1, eta_count):
         eta = cmath.exp(2j * math.pi * j / eta_count)
-        kernel = convolution_kernel(cp, wp, eta, max(f.truncation, 1))
-        conv = hadamard(f, kernel)
-        mods = np.abs(evaluate(conv, pts))
-        idx = int(np.argmin(mods))
-        scans.append(EtaScan(eta, float(mods[idx]), complex(pts[idx])))
-    best = min(scans, key=lambda s: s.min_modulus)
+        mods = np.abs(x + eta * y)
+        low = float(mods.min())
+        scans.append(EtaScan(eta, low, complex(pts[_first_tied(mods, low)])))
+    low = min(s.min_modulus for s in scans)
+    best = scans[_first_tied(np.array([s.min_modulus for s in scans]), low)]
     return ConvolutionScanReport(
-        tuple(scans), best.min_modulus, best.eta, best.argmin_z,
-        best.min_modulus < tol,
+        tuple(scans), low, best.eta, best.argmin_z, low < tol
     )
+
+
+def _first_tied(values: np.ndarray, low: float) -> int:
+    """Index of the first value within a relative _TIE_RTOL of ``low``."""
+    return int(np.argmax(values <= low * (1.0 + _TIE_RTOL)))
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,7 @@ class TestRadiusCommand:
             ("n,weight\n0,1.0\n", 2),
             ("# moduli\nn,weight\n2,0.5\n2,0.5\n", 4),
             ("n,weight\n1,abc\n", 2),
+            ("n,weight\n1,0.5\n2,nan\n", 3),
         ],
     )
     def test_malformed_weights_file_exits_5(self, capsys, tmp_path, content, line):
@@ -254,6 +255,14 @@ class TestMemberCommand:
         code, _, err = run(capsys, "member", *self.CLASS_ARGS, "--coeffs", str(path))
         assert code == 5
         assert "line 2" in err
+
+    def test_non_finite_value_exits_5_with_line(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("n,re,im\n2,0.5,0.0\n1,inf,0\n")
+        code, _, err = run(capsys, "member", *self.CLASS_ARGS, "--coeffs", str(path))
+        assert code == 5
+        assert "line 3" in err
+        assert "finite" in err
 
 
 class TestGenerateCommand:

@@ -62,6 +62,14 @@ CASES = [
      None),
     ("verify_random",
      ["verify-identities", *CLASS_ROTATED, "--random", "3", "--n-max", "16"], "7"),
+    # an asymmetric Schwarz polynomial leaves no z <-> -z ties in the scan
+    ("generate_asymmetric",
+     ["generate", *CLASS_ROTATED, "--schwarz", "0,0.2,0.1", "--n-max", "40",
+      "--out", "asymmetric.csv"], None),
+    ("member_scan_certify_grid",
+     ["member", *CLASS_ROTATED, "--coeffs", "asymmetric.csv", "--scan",
+      "--eta-count", "64", "--grid-radii", "32", "--grid-angles", "128",
+      "--out", "grid_scan.csv"], None),
 ]
 
 # Columns and keys whose values sit at rounding level: compared absolutely.

@@ -20,6 +20,8 @@ from wrightlens import (
     convolution_kernel,
     convolution_scan,
     convex_predicate,
+    evaluate,
+    hadamard,
     membership_check,
     phi_values,
     polar_grid,
@@ -28,6 +30,8 @@ from wrightlens import (
     sufficiency_predicate,
     tau_transform,
 )
+
+from wrightlens import membership
 
 from param_grids import class_grid, full_grid
 
@@ -265,6 +269,63 @@ class TestConvolutionScan:
     def test_eta_count_floor(self):
         with pytest.raises(ParameterError):
             convolution_scan(POLE, CP, WP, eta_count=4)
+
+
+class TestConvolutionScanBruteForce:
+    """The scan against one kernel, Hadamard product and evaluation per eta."""
+
+    CP = ClassParams(0.6, 0.2, 5.0)
+    GRID = GridSpec(radii=8, angles=32)
+
+    def _function(self, name):
+        if name == "pole":
+            return POLE
+        member = schwarz_generate(self.CP, WP, SchwarzFunction([0.0, 0.2, 0.1]), 20)
+        if name == "member":
+            return member
+        coeffs = member.coeffs.copy()
+        coeffs[1] = 2.0 * bound_sequence_closed(self.CP, WP, 2).values[1] * 1j
+        return LaurentSeries(1.0, coeffs)
+
+    @pytest.mark.parametrize("name", ["member", "violator", "pole"])
+    @pytest.mark.parametrize("eta_count", [8, 9, 64])
+    def test_matches_per_eta_evaluation(self, name, eta_count):
+        f = self._function(name)
+        n = max(f.truncation, 1)
+        pts = polar_grid(self.GRID)
+        scan = convolution_scan(f, self.CP, WP, eta_count=eta_count, grid=self.GRID)
+
+        etas = [cmath.exp(2j * math.pi * j / eta_count) for j in range(1, eta_count)]
+        assert [s.eta for s in scan.per_eta] == etas
+        assert 1.0 not in etas
+
+        k0, k1 = membership._kernel_parts(self.CP, WP, n)
+        x, y = (evaluate(hadamard(f, k), pts) for k in (k0, k1))
+        tol = 1e-12 * float(np.max(np.abs(x) + np.abs(y)))
+        for s in scan.per_eta:
+            kernel = convolution_kernel(self.CP, WP, s.eta, n)
+            mods = np.abs(evaluate(hadamard(f, kernel), pts))
+            assert abs(s.min_modulus - float(mods.min())) <= tol
+            # ties between grid points may resolve either way
+            at = int(np.flatnonzero(pts == s.argmin_z)[0])
+            assert abs(float(mods[at]) - s.min_modulus) <= tol
+        assert scan.min_modulus == min(s.min_modulus for s in scan.per_eta)
+
+    def test_phi_values_calls_do_not_grow_with_eta_count(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return phi_values(*args, **kwargs)
+
+        monkeypatch.setattr(membership, "phi_values", counted)
+        f = self._function("member")
+        counts = []
+        for eta_count in (8, 128):
+            calls.clear()
+            convolution_scan(f, self.CP, WP, eta_count=eta_count, grid=self.GRID)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
 
 
 class TestSufficiency:
