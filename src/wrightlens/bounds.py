@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .laurent import LaurentSeries, TaylorSeries, apply_operator, lambda_mix
-from .special import WrightParams, phi_values, signed_lgamma
+from .special import WrightParams, _log_inverse_phi, _pole_error, phi_values
 
 __all__ = [
     "ClassParams",
@@ -141,25 +141,19 @@ def bound_sequence_closed(
     The quotient is formed in log space with the sign of the gamma factor
     carried,
 
-        log A_n = log w_n + log|Gamma(alpha*n + beta)| + log n!,
+        log A_n = log w_n + log|Gamma(alpha*n + beta) n!|,
 
-    so nothing overflows before A_n itself does; that raises
-    :class:`OverflowError` naming the index.
+    the second term from the same route as :func:`phi_values`, so nothing
+    overflows before A_n itself does; that raises :class:`OverflowError`
+    naming the first such index.  Pole indices raise :class:`PoleError`.
     """
-    wp.check_indices(n_max)
+    n = np.arange(1.0, n_max + 1)
+    sign, log_inv = _log_inverse_phi(wp, n)
+    if not sign.all():
+        raise _pole_error(wp, n[sign == 0.0])
+    # A_n past the double range turns inf; BoundSequence names the first.
     with np.errstate(over="ignore"):
-        weights = operator_weights(cp, wp, n_max)
-    values = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        sign, log_abs = signed_lgamma(wp.alpha * n + wp.beta)
-        _, log_fact = signed_lgamma(n + 1.0)
-        log_a = math.log(weights[n - 1]) + log_abs + log_fact
-        try:
-            values[n - 1] = sign * math.exp(log_a)
-        except OverflowError:
-            raise OverflowError(
-                f"A_{n} exceeds the floating-point range (log A_{n} = {log_a:.3f})"
-            ) from None
+        values = sign * np.exp(np.log(operator_weights(cp, wp, n_max)) + log_inv)
     return BoundSequence(values, cp, wp, "closed")
 
 
@@ -264,7 +258,6 @@ def series_identity_oracle(
     one_m2 = 1.0 - 2.0 * lam
 
     h = apply_operator(wp, f)
-    lhs = LaurentSeries(-phase, phase * np.arange(1, h.truncation + 1) * h.coeffs)
     d = lambda_mix(h, lam)
 
     # B_0 collapses to -e^{i theta}/(1-2 lam) because the constant parts of
@@ -273,18 +266,14 @@ def series_identity_oracle(
     b[0] = -phase / one_m2
     b[1:] = -(big_l / one_m2) * tau.coeffs[1:]
 
-    # right side coefficient at z^n needs B_{n+1}; cap the comparison there.
+    # Both sides as coefficient vectors over the powers -1, 0, 1, ..., so
+    # z H' is a scaling and the right side one Cauchy product.  The right
+    # side at z^n needs B_{n+1}; cap the comparison there.
     n_top = min(f.truncation, len(b) - 2)
     powers = np.arange(-1, n_top + 1)
-    residuals = np.empty(len(powers), dtype=complex)
-    residuals[0] = lhs.principal - d.principal * b[0]
-    for n in range(0, n_top + 1):
-        rhs = d.principal * b[n + 1]
-        k_hi = min(n, d.truncation)
-        for k in range(1, k_hi + 1):
-            rhs += d.coeffs[k - 1] * b[n - k]
-        lhs_n = lhs.coeffs[n - 1] if 1 <= n <= lhs.truncation else 0j
-        residuals[n + 1] = lhs_n - rhs
+    h_full, d_full = (np.concatenate(([s.principal, 0.0], s.coeffs)) for s in (h, d))
+    rhs = np.convolve(d_full, b)[: n_top + 2]
+    residuals = phase * powers * h_full[: n_top + 2] - rhs
     return IdentityResiduals(powers, residuals)
 
 
@@ -314,15 +303,11 @@ def extraction_residuals(
         2.0 * phase * (1.0 - lam) * ph[0] * f.coeffs[0]
         + big_l * (1.0 - 2.0 * lam) * tau.coeffs[2]
     )
-    phased = np.empty(max(n_top - 1, 0), dtype=complex)
-    unphased = np.empty(max(n_top - 1, 0), dtype=complex)
-    for n in range(2, n_top + 1):
-        bracket = (1.0 - 2.0 * lam) * tau.coeffs[n + 1]
-        for k in range(1, n):
-            bracket += (
-                ph[k - 1] * (1.0 - lam + k * lam) * f.coeffs[k - 1] * tau.coeffs[n - k]
-            )
-        lhs = phase * (n + 1) * (1.0 - lam) * ph[n - 1] * f.coeffs[n - 1]
-        phased[n - 2] = lhs + big_l * bracket / phase
-        unphased[n - 2] = lhs + big_l * bracket
+    # bracket_n = (1-2 lam) tau_{n+1} + sum_{k=1}^{n-1} u_k tau_{n-k}
+    u = ph * (1.0 - lam + np.arange(1, n_top + 1) * lam) * f.coeffs[:n_top]
+    cauchy = np.convolve(u, tau.coeffs[1:])[: n_top - 1]
+    bracket = (1.0 - 2.0 * lam) * tau.coeffs[3 : n_top + 2] + cauchy
+    lhs = phase * np.arange(3, n_top + 2) * (1.0 - lam) * ph[1:] * f.coeffs[1:n_top]
+    phased = lhs + big_l * bracket / phase
+    unphased = lhs + big_l * bracket
     return first, phased, unphased

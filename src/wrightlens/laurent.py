@@ -209,7 +209,7 @@ def polar_grid(spec: GridSpec, r_max: float | None = None) -> np.ndarray:
 
 
 def _read_indexed_csv(path, header: tuple[str, ...]) -> np.ndarray:
-    """Read rows ``n,v_1,..,v_k`` under a k+1 column ``header`` into a table.
+    """Read rows ``n,v_1,..,v_k`` under exactly the k+1 column ``header``.
 
     The table has shape (max n, k) and row n >= 1 fills table row n-1;
     indices may appear in any order and absent ones are zero.  Lines
@@ -229,7 +229,7 @@ def _read_indexed_csv(path, header: tuple[str, ...]) -> np.ndarray:
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             if not saw_header:
-                if [c.strip().lower() for c in row[: len(header)]] != list(header):
+                if [c.strip().lower() for c in row] != list(header):
                     raise CoefficientFileError(
                         f"line {line_no}: expected header '{name}'", line=line_no
                     )

@@ -28,11 +28,11 @@ __all__ = [
     "wright_eval",
 ]
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Paired with the
-# reflection formula this holds ~1e-14 relative error over the range the
+# Lanczos approximation, g = 7 with 9 coefficients.  In log space, with the
+# reflection formula, this holds ~1e-13 relative error over the range the
 # package uses; the contract only promises 1e-12 on [0.1, 50].
 _LANCZOS_G = 7.0
-_LANCZOS = (
+_LANCZOS = np.array([
     0.99999999999980993,
     676.5203681218851,
     -1259.1392167224028,
@@ -42,76 +42,84 @@ _LANCZOS = (
     -0.13857109526572012,
     9.9843695780195716e-6,
     1.5056327351493116e-7,
-)
+])
+_LANCZOS_SHIFT = np.arange(1.0, len(_LANCZOS))[:, None]
 
 _SQRT_TWO_PI = 2.5066282746310002
 _POLE_TOL = 1e-12
 
-# Above this argument the direct Lanczos product overflows in pieces even
-# though Gamma itself is still representable; switch to the log form.
-_DIRECT_GAMMA_MAX = 141.0
-
 _TERM_TOL = 1e-16
 _MAX_TERMS = 500
+_TERM_BLOCKS = np.split(np.arange(1.0, _MAX_TERMS + 1), [64])
 
 
-def _near_pole(x: float) -> bool:
-    k = round(x)
-    return k <= 0 and abs(x - k) <= _POLE_TOL
+def _near_pole(x: np.ndarray) -> np.ndarray:
+    k = np.rint(x)
+    return (k <= 0.0) & (np.abs(x - k) <= _POLE_TOL)
 
 
-def _sinpi(x: float) -> float:
-    # Reduce against the nearest integer before multiplying by pi so the
-    # result stays relatively accurate close to the zeros of sin.
-    k = round(x)
-    s = math.sin(math.pi * (x - k))
-    return -s if k % 2 else s
+def _signed_lgamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise (sign, log|Gamma(x)|) over a finite 1-d array.
 
-
-def _lanczos_sum(z: float) -> float:
-    s = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        s += _LANCZOS[i] / (z + i)
-    return s
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for real x.
-
-    Relative error <= 1e-12 on [0.1, 50].  Arguments within 1e-12 of a
-    non-positive integer raise :class:`PoleError`; values of x large enough
-    that Gamma(x) exceeds the double range raise :class:`OverflowError`.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ParameterError(f"gamma argument must be finite, got {x!r}")
-    if _near_pole(x):
-        raise PoleError(f"gamma pole at x={x!r}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (_sinpi(x) * gamma(1.0 - x))
-    if x > _DIRECT_GAMMA_MAX:
-        sign, log_abs = signed_lgamma(x)
-        return sign * math.exp(log_abs)
+    Pole entries get (0, inf), so sign * exp(-log) is 0 there; callers decide."""
+    reflect = x < 0.5
     z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(z)
+    z[reflect] = -x[reflect]  # Lanczos at 1 - x for the reflected entries
+    t = z + (_LANCZOS_G + 0.5)
+    series = _LANCZOS[0] + (_LANCZOS[1:, None] / (z + _LANCZOS_SHIFT)).sum(axis=0)
+    sign = np.ones_like(z)
+    with np.errstate(over="ignore", divide="ignore"):
+        log_abs = np.log(_SQRT_TWO_PI * series) + (z + 0.5) * np.log(t) - t
+        if reflect.any():
+            # Gamma(x) Gamma(1-x) = pi / sin(pi x).  sin is reduced against
+            # the nearest integer before multiplying by pi so it stays
+            # relatively accurate close to its zeros.
+            r = x[reflect]
+            k = np.rint(r)
+            s = np.sin(np.pi * (r - k)) * np.where(k % 2.0, -1.0, 1.0)
+            sign[reflect] = np.sign(s)
+            log_abs[reflect] = np.log(np.pi / np.abs(s)) - log_abs[reflect]
+            pole = _near_pole(x)
+            sign[pole], log_abs[pole] = 0.0, np.inf
+    return sign, log_abs
+
+
+def _log_inverse_phi(params: WrightParams, n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(sign, log|Gamma(alpha*n + beta) n!|) over float indices n >= 1.
+
+    Both gamma factors come from one route call; a pole index gets sign 0."""
+    x = np.concatenate((params.alpha * n + params.beta, n + 1.0))
+    sign, log_abs = _signed_lgamma(x)
+    return sign[: n.size], log_abs[: n.size] + log_abs[n.size :]
+
+
+def _pole_error(params: WrightParams, bad) -> PoleError:
+    return PoleError(
+        f"alpha*n + beta hits a gamma pole (tolerance {_POLE_TOL}) at "
+        f"n={[int(n) for n in bad]} for alpha={params.alpha!r}, beta={params.beta!r}"
+    )
 
 
 def signed_lgamma(x: float) -> tuple[float, float]:
-    """Return (sign, log|Gamma(x)|) with the same pole handling as gamma()."""
+    """(sign, log|Gamma(x)|) as floats; x within 1e-12 of a pole raises PoleError."""
     x = float(x)
     if not math.isfinite(x):
-        raise ParameterError(f"lgamma argument must be finite, got {x!r}")
-    if _near_pole(x):
+        raise ParameterError(f"gamma argument must be finite, got {x!r}")
+    sign, log_abs = _signed_lgamma(np.array([x]))
+    if not sign[0]:
         raise PoleError(f"gamma pole at x={x!r}")
-    if x < 0.5:
-        s = _sinpi(x)
-        _, log_rest = signed_lgamma(1.0 - x)  # 1-x > 0.5, always positive
-        return (1.0 if s > 0.0 else -1.0), math.log(math.pi / abs(s)) - log_rest
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return 1.0, math.log(_SQRT_TWO_PI * _lanczos_sum(z)) + (z + 0.5) * math.log(t) - t
+    return float(sign[0]), float(log_abs[0])
+
+
+def gamma(x: float) -> float:
+    """Gamma(x) for real x, as sign * exp(log|Gamma(x)|) from :func:`signed_lgamma`.
+
+    Relative error <= 1e-12 on [0.1, 50].  Arguments within 1e-12 of a
+    non-positive integer raise :class:`PoleError`, and x above about 171.6
+    :class:`OverflowError`; below -171.6 Gamma(x) underflows towards zero.
+    """
+    sign, log_abs = signed_lgamma(x)
+    return sign * math.exp(log_abs)
 
 
 @dataclass(frozen=True)
@@ -143,40 +151,38 @@ class WrightParams:
         return params
 
     def check_indices(self, n_max: int) -> None:
-        bad = [n for n in range(1, n_max + 1) if _near_pole(self.alpha * n + self.beta)]
-        if bad:
-            raise PoleError(
-                f"alpha*n + beta hits a gamma pole (tolerance {_POLE_TOL}) at "
-                f"n={bad} for alpha={self.alpha!r}, beta={self.beta!r}"
-            )
+        n = np.arange(1.0, n_max + 1)
+        bad = n[_near_pole(self.alpha * n + self.beta)]
+        if bad.size:
+            raise _pole_error(self, bad)
+
+
+def _phi(params: WrightParams, n: np.ndarray) -> np.ndarray:
+    sign, log_inv = _log_inverse_phi(params, n)
+    if not sign.all():
+        raise _pole_error(params, n[sign == 0.0])
+    return sign * np.exp(-log_inv)
 
 
 def phi(params: WrightParams, n: int) -> float:
     """Kernel coefficient 1 / (Gamma(alpha*n + beta) * n!).
 
-    The factorial moves to log space for n > 20 (and whenever the gamma
-    argument is too large for the direct product) so no intermediate
-    overflows for indices whose coefficient is representable.
+    Formed as sign * exp(-log|Gamma(alpha*n + beta) n!|), like
+    :func:`phi_values`, so no intermediate overflows for indices whose
+    coefficient is representable.
     """
     if n < 1:
         raise ParameterError(f"coefficient index must be >= 1, got {n!r}")
-    x = params.alpha * n + params.beta
-    if _near_pole(x):
-        raise PoleError(
-            f"index n={n}: gamma argument {x!r} is within {_POLE_TOL} of a pole"
-        )
-    if n <= 20 and x <= _DIRECT_GAMMA_MAX:
-        return 1.0 / (gamma(x) * math.factorial(n))
-    sign, log_abs = signed_lgamma(x)
-    _, log_fact = signed_lgamma(n + 1.0)
-    return sign * math.exp(-(log_abs + log_fact))
+    return float(_phi(params, np.array([float(n)]))[0])
 
 
 def phi_values(params: WrightParams, n_max: int) -> np.ndarray:
-    """Coefficients phi_1 .. phi_n_max as a float array."""
+    """Coefficients phi_1 .. phi_n_max from one elementwise log-space pass.
+
+    Past the order where phi_n leaves the double range they underflow to 0."""
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max!r}")
-    return np.array([phi(params, n) for n in range(1, n_max + 1)], dtype=float)
+    return _phi(params, np.arange(1.0, n_max + 1))
 
 
 class WrightEval(NamedTuple):
@@ -190,7 +196,9 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
     Terms are added until one falls below 1e-16 * (1 + |partial sum|), with
     a hard cap of 500 terms; the achieved term count is returned alongside
     the value.  Exceeding the cap, or overflowing mid-sum, raises
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`; reaching a pole index raises
+    :class:`PoleError`.  The coefficients come from the log-space route in
+    two blocks, 1-64 and 65-500; only a longer sum reads the second.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -199,17 +207,23 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
         return WrightEval(0j, 0)
     total = 0j
     z_pow = 1.0 + 0j
-    for n in range(1, _MAX_TERMS + 1):
-        z_pow *= z
-        term = phi(params, n) * z_pow
-        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-            raise ConvergenceError(
-                f"series term overflowed at n={n} for z={z!r}; "
-                "argument is outside the supported range"
-            )
-        total += term
-        if abs(term) <= _TERM_TOL * (1.0 + abs(total)):
-            return WrightEval(total, n)
+    n = 0
+    for block in _TERM_BLOCKS:
+        sign, log_inv = _log_inverse_phi(params, block)
+        for s, c in zip(sign.tolist(), (sign * np.exp(-log_inv)).tolist()):
+            n += 1
+            if not s:
+                raise _pole_error(params, [n])
+            z_pow *= z
+            term = c * z_pow
+            if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+                raise ConvergenceError(
+                    f"series term overflowed at n={n} for z={z!r}; "
+                    "argument is outside the supported range"
+                )
+            total += term
+            if abs(term) <= _TERM_TOL * (1.0 + abs(total)):
+                return WrightEval(total, n)
     raise ConvergenceError(
         f"series did not meet the stopping rule within {_MAX_TERMS} terms for z={z!r}"
     )

@@ -177,6 +177,7 @@ class TestRadiusCommand:
             ("# moduli\nn,weight\n2,0.5\n2,0.5\n", 4),
             ("n,weight\n1,abc\n", 2),
             ("n,weight\n1,0.5\n2,nan\n", 3),
+            ("# moduli\nn,weight,extra\n1,0.5,0\n", 2),
         ],
     )
     def test_malformed_weights_file_exits_5(self, capsys, tmp_path, content, line):
@@ -255,6 +256,14 @@ class TestMemberCommand:
         code, _, err = run(capsys, "member", *self.CLASS_ARGS, "--coeffs", str(path))
         assert code == 5
         assert "line 2" in err
+
+    def test_header_with_extra_column_exits_5(self, capsys, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text("n,re,im,extra\n1,0.1,0.0,7\n")
+        code, _, err = run(capsys, "member", *self.CLASS_ARGS, "--coeffs", str(path))
+        assert code == 5
+        assert "line 1" in err
+        assert "n,re,im" in err
 
     def test_non_finite_value_exits_5_with_line(self, capsys, tmp_path):
         path = tmp_path / "inf.csv"

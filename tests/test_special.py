@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,13 @@ class TestGamma:
         with pytest.raises(OverflowError):
             gamma(172.0)
 
+    @pytest.mark.parametrize("x", [-170.5, -171.7, -200.5, -1000.5])
+    def test_far_negative_arguments_underflow(self, x):
+        # Gamma(x) here is tiny, subnormal or a signed zero: never an overflow
+        got, want = gamma(x), math.gamma(x)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
 
 class TestWrightParams:
     def test_domain(self):
@@ -127,6 +135,51 @@ class TestPhi:
             assert vals[n - 1] == phi(wp, n)
 
 
+# Arguments on [0.1, 50] and in the reflection region, away from the poles.
+ORACLE_XS = [float(x) for x in np.linspace(0.1, 50.0, 250)] + [
+    k + f for k in range(-10, 1) for f in (0.03, 0.25, 0.5, 0.77, 0.97) if k + f < 0.5
+]
+
+
+class TestMpmathOracle:
+    """40-digit mpmath references, an implementation independent of ours."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mpmath.workdps(40):
+            yield
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(0.0, 1.0), (1.0, 1.0), (0.5, 1.5), (-0.9, 0.05), (-0.5, 0.75),
+         (2.0, 0.1), (0.3, 0.01)],
+    )
+    def test_phi_values(self, alpha, beta):
+        got = phi_values(WrightParams(alpha, beta), 400)
+        checked = 0
+        for n in range(1, 401):
+            want = mpmath.rgamma(mpmath.mpf(alpha) * n + beta) / mpmath.factorial(n)
+            if not np.finfo(float).tiny <= abs(want) <= np.finfo(float).max:
+                continue  # the reference is not a normal double
+            rel = float(abs((got[n - 1] - want) / want))
+            assert rel <= (2e-13 if n <= 20 else 1e-11), (n, rel)
+            checked += 1
+        assert checked >= 60
+
+    def test_gamma(self):
+        for x in ORACLE_XS:
+            want = mpmath.gamma(x)
+            assert float(abs((gamma(x) - want) / want)) <= 1e-12, x
+
+    def test_signed_lgamma(self):
+        for x in ORACLE_XS:
+            want = mpmath.gamma(x)
+            sign, log_abs = signed_lgamma(x)
+            assert sign == mpmath.sign(want), x
+            want_log = mpmath.log(abs(want))
+            assert float(abs(log_abs - want_log)) <= 1e-12 * max(1.0, abs(want_log)), x
+
+
 class TestWrightEval:
     def test_zero_argument(self):
         result = wright_eval(WrightParams(0.3, 2.0), 0.0)
@@ -171,6 +224,13 @@ class TestWrightEval:
     def test_term_count_reported(self):
         small = wright_eval(WrightParams(0.0, 1.0), 1e-8)
         assert small.terms <= 2
+
+    def test_pole_index_only_fails_when_reached(self):
+        # alpha*n + beta = 0 at n = 12: a small argument stops before it
+        wp = WrightParams(-0.5, 6.0)
+        assert wright_eval(wp, 0.01).terms == 7
+        with pytest.raises(PoleError, match=r"n=\[?12\b"):
+            wright_eval(wp, 5.0)
 
     def test_non_convergence(self):
         with pytest.raises(ConvergenceError):
