@@ -165,16 +165,21 @@ def operator_weights(cp: ClassParams, wp: WrightParams, n_max: int) -> np.ndarra
         w_1 = L(1-2*lam)/(1-lam),   w_{n+1} = w_n * factor_n / (1-lam),
 
     which grows at most geometrically and never touches a gamma evaluation.
+    The product is one running product over [w_1, factor_n/(1-lam)], so the
+    values agree with the step-by-step recursion to rounding.  Entries past
+    the double range are inf, without a warning; :class:`BoundSequence` and
+    the radius solver name the first such index.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
     lam, big_l = cp.lam, cp.Lambda
-    weights = np.empty(n_max)
-    weights[0] = big_l * (1.0 - 2.0 * lam) / (1.0 - lam)
-    for n in range(1, n_max):
-        factor = ((n + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + n * lam) * big_l) / (n + 2)
-        weights[n] = weights[n - 1] * factor / (1.0 - lam)
-    return weights
+    n = np.arange(1, n_max)
+    steps = np.empty(n_max)
+    steps[0] = big_l * (1.0 - 2.0 * lam) / (1.0 - lam)
+    factor = ((n + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + n * lam) * big_l) / (n + 2)
+    steps[1:] = factor / (1.0 - lam)
+    with np.errstate(over="ignore"):
+        return np.multiply.accumulate(steps)
 
 
 @dataclass(frozen=True)

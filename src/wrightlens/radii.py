@@ -55,7 +55,9 @@ class RadiusQuery:
 
     ``weights[n-1]`` multiplies r^{n+1}.  When ``weight_model`` is given it
     must return the first k weights for any k; the solver uses it to re-solve
-    at twice the truncation and flag unconverged tails.
+    at twice the truncation and flag unconverged tails.  An infinite weight
+    (one past the double range) is reported by the solver as
+    :class:`OverflowError` naming its index.
     """
 
     rho: float
@@ -76,8 +78,8 @@ class RadiusQuery:
         arr = np.asarray(self.weights, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("weights must be a non-empty vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ParameterError("weights must be finite and nonnegative")
+        if not np.all(arr >= 0.0):
+            raise ParameterError("weights must be nonnegative numbers")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
@@ -92,7 +94,8 @@ class RadiusResult:
     """Solved radius with its bracket, truncation, and constraint residual.
 
     ``unconstrained`` marks the case where the constraint never reaches 1
-    inside the disk; the radius is then pinned just below 1.
+    inside the disk; the radius is then pinned just below 1.  ``steps`` counts
+    the evaluations of S the bisection made, the check at the edge included.
     """
 
     radius: float
@@ -100,36 +103,64 @@ class RadiusResult:
     truncation_used: int
     residual: float
     unconstrained: bool = False
+    steps: int = 0
+
+
+def _terms(q: RadiusQuery) -> tuple[np.ndarray, np.ndarray]:
+    """(c, e) with S(r) = sum c * r**e: c_n = m_n(rho) * v_n and e_n = n + 1.
+
+    Callers run this and :func:`_sum_at` under ``np.errstate(over="ignore")``.
+    A c_n past the double range raises :class:`OverflowError` naming the
+    first such n: with c_n = inf, S(r) turns nan once r**e_n underflows, and
+    the bisection would read that as S <= 1.  The sum of finite terms
+    overflowing to inf is a correct S > 1.
+    """
+    n = np.arange(1, q.n_max + 1, dtype=float)
+    c = _multipliers(q.kind, q.rho, n) * q.weights
+    if not np.isfinite(c).all():
+        bad = int(np.flatnonzero(~np.isfinite(c))[0]) + 1
+        raise OverflowError(
+            f"constraint term m_n * weight_n exceeds the floating-point range "
+            f"at n={bad}"
+        )
+    return c, n + 1
+
+
+def _sum_at(c: np.ndarray, e: np.ndarray, r: float) -> float:
+    return float(np.add.reduce(c * r**e))
 
 
 def constraint_sum(q: RadiusQuery, r: float) -> float:
     """S(r) for 0 <= r < 1; strictly increasing when any weight is positive."""
     if not (0.0 <= r < 1.0):
         raise ParameterError(f"r must lie in [0, 1), got {r!r}")
-    n = np.arange(1, q.n_max + 1, dtype=float)
-    return float(np.sum(_multipliers(q.kind, q.rho, n) * q.weights * r ** (n + 1)))
+    with np.errstate(over="ignore"):
+        c, e = _terms(q)
+        return _sum_at(c, e, r)
 
 
 def _bisect(q: RadiusQuery) -> RadiusResult:
-    s_edge = constraint_sum(q, _EDGE)
-    if s_edge <= 1.0:
-        return RadiusResult(_EDGE, (_EDGE, _EDGE), q.n_max, s_edge, True)
-    lo, hi = 0.0, _EDGE
-    s_lo = 0.0
-    for _ in range(_MAX_BISECT):
-        # math.inf from overflowing weights compares as > 1, which steers the
-        # bracket downward; no special casing needed.
-        if hi - lo <= q.tol and abs(s_lo - 1.0) <= 10.0 * q.tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        s_mid = constraint_sum(q, mid)
-        if s_mid > 1.0:
-            hi = mid
-        else:
-            lo, s_lo = mid, s_mid
-    return RadiusResult(lo, (lo, hi), q.n_max, s_lo, False)
+    with np.errstate(over="ignore"):
+        c, e = _terms(q)
+        s_edge = _sum_at(c, e, _EDGE)
+        steps = 1
+        if s_edge <= 1.0:
+            return RadiusResult(_EDGE, (_EDGE, _EDGE), q.n_max, s_edge, True, steps)
+        lo, hi = 0.0, _EDGE
+        s_lo = 0.0
+        for _ in range(_MAX_BISECT):
+            if hi - lo <= q.tol and abs(s_lo - 1.0) <= 10.0 * q.tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            s_mid = _sum_at(c, e, mid)
+            steps += 1
+            if s_mid > 1.0:
+                hi = mid
+            else:
+                lo, s_lo = mid, s_mid
+    return RadiusResult(lo, (lo, hi), q.n_max, s_lo, False, steps)
 
 
 def solve_radius(q: RadiusQuery) -> RadiusResult:

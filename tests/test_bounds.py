@@ -136,6 +136,27 @@ class TestOperatorWeights:
             direct = phi_values(wp, 25) * bound_sequence_closed(cp, wp, 25).values
             np.testing.assert_allclose(weights, direct, rtol=1e-12)
 
+    def test_matches_sequential_recursion(self):
+        # the step-by-step recursion the running product replaced
+        def sequential(cp, n_max):
+            lam, big_l = cp.lam, cp.Lambda
+            weights = np.empty(n_max)
+            weights[0] = big_l * (1.0 - 2.0 * lam) / (1.0 - lam)
+            for n in range(1, n_max):
+                factor = (
+                    (n + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + n * lam) * big_l
+                ) / (n + 2)
+                weights[n] = weights[n - 1] * factor / (1.0 - lam)
+            return weights
+
+        for cp, wp in full_grid():
+            want = sequential(cp, 400)
+            got = operator_weights(cp, wp, 400)
+            assert got[0] == want[0]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            for n_max in (1, 2, 37):
+                np.testing.assert_array_equal(operator_weights(cp, wp, n_max), got[:n_max])
+
     def test_no_gamma_needed(self):
         # the cancellation form works even where phi_n alone would hit a pole
         cp = ClassParams(0.0, 0.0, 2.0)

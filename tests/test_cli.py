@@ -187,6 +187,22 @@ class TestRadiusCommand:
         assert code == 5
         assert f"line {line}" in err
 
+    @pytest.mark.parametrize("curve", [[], ["--curve", "--steps", "3"]], ids=["rho", "curve"])
+    def test_overflowing_terms_exit_3(self, capsys, tmp_path, curve):
+        # m_n * weight_n = inf once gave inf * 0 = nan after r**(n+1)
+        # underflowed, and the bisection returned a wrong radius with exit 0
+        path = tmp_path / "weights.csv"
+        path.write_text("n,weight\n1,1e308\n2,1e308\n3,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(
+                capsys, "radius", "convex", "--rho", "0.5", "--weights", str(path), *curve
+            )
+        assert code == 3
+        assert out == ""
+        assert "exceeds the floating-point range at n=1" in err
+        assert "encountered" not in err and "warning" not in err
+
     def test_weights_file_without_weights_exits_5(self, capsys, tmp_path):
         path = tmp_path / "weights.csv"
         path.write_text("n,weight\n")

@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrightlens import (
     ClassParams,
     LaurentSeries,
     ParameterError,
     RadiusQuery,
+    RadiusResult,
     TruncationWarning,
     WrightParams,
     constraint_sum,
@@ -22,8 +25,11 @@ from wrightlens import (
     starlike_predicate,
 )
 
+from param_grids import class_grid
+
 CP = ClassParams(0.0, 0.0, 2.0)
 WP = WrightParams(0.0, 1.0)
+CLASS_GRID = tuple(class_grid())
 
 
 class TestConstraintSum:
@@ -48,6 +54,37 @@ class TestConstraintSum:
         q = single_weight_query("starlike", 0.0, 1)
         with pytest.raises(ParameterError):
             constraint_sum(q, 1.0)
+
+    def test_matches_direct_formula_bit_for_bit(self):
+        # the product order (m*w)*r**(n+1) and numpy's pairwise sum fix every
+        # comparison S(mid) > 1 of the bisection, and with it the radii
+        rng = np.random.default_rng(5)
+        for kind in ("starlike", "convex"):
+            for n_max in (1, 7, 150, 400):
+                rho = float(rng.uniform(0.0, 1.0))
+                w = rng.uniform(0.0, 2.0, n_max)
+                q = RadiusQuery(rho, kind, w)
+                n = np.arange(1, n_max + 1, dtype=float)
+                m = (n + 2.0 - rho) / (1.0 - rho)
+                if kind == "convex":
+                    m = n * m
+                for r in (0.0, 0.1, 0.5, 0.93):
+                    assert constraint_sum(q, r) == float(np.sum(m * w * r ** (n + 1)))
+
+    def test_overflowing_term_names_its_index(self):
+        # m_2 * weight_2 = 7 * 1e308 leaves the double range; weight_1 does not
+        q = RadiusQuery(0.5, "convex", np.array([1.0, 1e308, 1e308]))
+        with pytest.raises(OverflowError, match="n=2"):
+            constraint_sum(q, 0.5)
+        with pytest.raises(OverflowError, match="n=2"):
+            solve_radius(q)
+
+    def test_overflowing_sum_is_silent_inf(self):
+        # every term is finite, their sum is not: a correct S > 1, no warning
+        q = RadiusQuery(0.0, "starlike", np.full(50, 3e306))
+        assert constraint_sum(q, 0.999) == math.inf
+        result = solve_radius(q)
+        assert constraint_sum(q, result.radius) <= 1.0
 
 
 class TestRadiusQuery:
@@ -143,11 +180,107 @@ class TestSolveRadius:
             result = solve_radius(q)
         assert result.truncation_used == 80
 
+    def test_overflowing_weight_model_names_its_index(self):
+        # doubling the truncation runs these class weights past the double
+        # range; the first overflowing term is m_574 * w_574
+        cp = ClassParams(0.0, 0.45, 5.0)
+        model = lambda k: operator_weights(cp, WP, k)
+        q = RadiusQuery(0.0, "starlike", model(300), weight_model=model)
+        with pytest.raises(OverflowError, match="n=574"):
+            solve_radius(q)
+
+    def test_steps_count_evaluations(self):
+        assert solve_radius(RadiusQuery(0.0, "starlike", np.array([1e-12]))).steps == 1
+        # from the bracket [0, 1 - 1e-9] to width 1e-9 takes 30 halvings
+        assert solve_radius(single_weight_query("starlike", 0.0, 1)).steps == 31
+
     def test_convex_radius_at_most_starlike(self):
         weights = operator_weights(CP, WP, 25)
         star = solve_radius(RadiusQuery(0.0, "starlike", weights)).radius
         conv = solve_radius(RadiusQuery(0.0, "convex", weights)).radius
         assert conv <= star
+
+
+_EDGE = 1.0 - 1e-9
+
+
+def _reference_bisect(q: RadiusQuery) -> RadiusResult:
+    """Plain bisection on the public S(r), one call per step."""
+    s_edge = constraint_sum(q, _EDGE)
+    if s_edge <= 1.0:
+        return RadiusResult(_EDGE, (_EDGE, _EDGE), q.n_max, s_edge, True, 1)
+    lo, hi, s_lo, steps = 0.0, _EDGE, 0.0, 1
+    for _ in range(400):
+        if hi - lo <= q.tol and abs(s_lo - 1.0) <= 10.0 * q.tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        s_mid = constraint_sum(q, mid)
+        steps += 1
+        if s_mid > 1.0:
+            hi = mid
+        else:
+            lo, s_lo = mid, s_mid
+    return RadiusResult(lo, (lo, hi), q.n_max, s_lo, False, steps)
+
+
+def _reference_solve(q: RadiusQuery) -> RadiusResult:
+    if q.weight_model is None:
+        return _reference_bisect(q)
+    return _reference_bisect(
+        RadiusQuery(q.rho, q.kind, q.weight_model(2 * q.n_max), q.tol)
+    )
+
+
+@st.composite
+def radius_queries(draw):
+    n_max = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(("starlike", "convex")))
+    rho = draw(st.floats(0.0, 1.0, exclude_max=True))
+    tol = 10.0 ** draw(st.floats(-12.0, -3.0))
+    source = draw(st.sampled_from(("dense", "sparse", "single", "class")))
+    if source == "class":
+        cp = draw(st.sampled_from(CLASS_GRID))
+        model = lambda k: operator_weights(cp, WP, k)
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        scale = 10.0 ** draw(st.floats(-14.0, 6.0))
+
+        def model(k):
+            # fresh generators per call, so model(k) is a prefix of model(2k)
+            draws = np.random.default_rng(seed).uniform(0.0, 1.0, k)
+            w = scale * draws / np.arange(1, k + 1) ** 2
+            if source != "dense":
+                picks = np.random.default_rng(seed + 1).random(k)
+                keep = picks < (0.1 if source == "sparse" else 0.0)
+                keep[min(k, n_max) - 1] = True
+                w = np.where(keep, w + scale, 0.0)
+            return w
+
+    weights = model(n_max)
+    with_model = draw(st.booleans())
+    return RadiusQuery(rho, kind, weights, tol, weight_model=model if with_model else None)
+
+
+class TestBisectionMatchesReference:
+    """The solver's precomputed terms give the public S(r) bit for bit."""
+
+    @staticmethod
+    def _outcome(solve, q):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                return solve(q)
+        except OverflowError as exc:
+            return str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(radius_queries())
+    def test_bit_identical(self, q):
+        # RadiusResult equality compares radius, bracket, residual,
+        # truncation_used, unconstrained and steps exactly
+        assert self._outcome(solve_radius, q) == self._outcome(_reference_solve, q)
 
 
 class TestExtremalCurve:
