@@ -44,6 +44,15 @@ EXIT_INPUT = 5
 
 SEED_ENV = "WRIGHTLENS_SEED"
 
+# Upper bounds on the size flags, checked before any subcommand allocates.
+_SIZE_LIMITS = {
+    "n_max": ("--n-max", 10_000),
+    "steps": ("--steps", 10_000),
+    "eta_count": ("--eta-count", 4_096),
+    "grid_radii": ("--grid-radii", 1_024),
+    "grid_angles": ("--grid-angles", 4_096),
+}
+
 
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi' (imaginary unit i or j, either part optional)."""
@@ -66,6 +75,13 @@ def get_seed() -> int:
         return int(raw)
     except ValueError:
         raise ParameterError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+
+
+def _check_size_limits(args) -> None:
+    for dest, (flag, limit) in _SIZE_LIMITS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value > limit:
+            raise ParameterError(f"{flag} must be <= {limit}, got {value!r}")
 
 
 def _fmt(x: float) -> str:
@@ -443,6 +459,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_size_limits(args)
         return args.func(args)
     except CoefficientFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

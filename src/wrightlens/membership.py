@@ -233,16 +233,26 @@ def _ratio_target_series(cp: ClassParams, w: SchwarzFunction, n_max: int) -> np.
 
 
 def _series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Power-series quotient; den[0] must be nonzero."""
-    if abs(den[0]) == 0.0:
+    """Power-series quotient; den[0] must be nonzero.
+
+    Row n is out_n = (num_n - sum_{k>=1} den_k out_{n-k}) / den_0, accumulated
+    for k = 1, 2, ... in that order.  The multiply-accumulate runs on Python
+    ``complex``, whose product and sum round exactly as numpy's complex128
+    scalars do, so the result is bit-identical to the plain numpy-scalar loop.
+    The row division stays a numpy scalar division: Python's complex division
+    rounds differently.  Dot products, convolutions or complex array products
+    would change the rounding, so none is used here.
+    """
+    lead = den[0]
+    if abs(lead) == 0.0:
         raise SeriesDivisionError("series division by a series vanishing at 0")
-    out = np.zeros(len(num), dtype=complex)
-    for n in range(len(num)):
-        acc = num[n]
-        for k in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[k] * out[n - k]
-        out[n] = acc / den[0]
-    return out
+    tail = den[1:].tolist()
+    done: list[complex] = []
+    for acc in num.tolist():
+        for d, o in zip(tail, reversed(done)):
+            acc -= d * o
+        done.append(complex(np.complex128(acc) / lead))
+    return np.array(done, dtype=complex)
 
 
 def schwarz_generate(
@@ -261,11 +271,21 @@ def schwarz_generate(
     1 - lam A(z) is screened for zeros on a coarse sample grid first.  An
     a_n outside the double range (phi_n underflows past the order cap)
     raises :class:`OverflowError` naming the first such index.
+
+    The recursion follows the operation order of :func:`_series_divide`:
+    products and sums on Python ``complex`` for k = 1, 2, ..., then a numpy
+    scalar division by n + 1, so every h_n carries the bits of the plain
+    numpy-scalar loop.  phi is computed first: a phi_j that underflowed to 0
+    makes a_j non-finite, so both recursions stop at order j and the error
+    names the same index as a run through n_max would.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
     wp.check_indices(n_max)
-    a = _ratio_target_series(cp, w, n_max + 1)
+    phi = phi_values(wp, n_max)
+    zero = np.flatnonzero(phi == 0.0)
+    n_stop = int(zero[0]) + 1 if zero.size else n_max
+    a = _ratio_target_series(cp, w, n_stop + 1)
     if cp.lam == 0.0:
         g = a
     else:
@@ -286,14 +306,15 @@ def schwarz_generate(
             f"forced normalization g_0 = -1 failed (got {g[0]!r}); "
             "the ratio target series is inconsistent"
         )
-    h = np.zeros(n_max + 1, dtype=complex)  # h[0] unused; 1-based below
-    for n in range(1, n_max + 1):
+    g = g.tolist()
+    h: list[complex] = []  # h[k - 1] holds h_k
+    for n in range(1, n_stop + 1):
         acc = g[n + 1]
-        for k in range(1, n):
-            acc += g[n - k] * h[k]
-        h[n] = acc / (n + 1)
+        for gk, hk in zip(g[n - 1 : 0 : -1], h):
+            acc += gk * hk
+        h.append(complex(np.complex128(acc) / (n + 1)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coeffs = h[1:] / phi_values(wp, n_max)
+        coeffs = np.array(h, dtype=complex) / phi[:n_stop]
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
         raise OverflowError(f"a_{bad[0] + 1} exceeds the floating-point range")

@@ -188,6 +188,9 @@ def phi_values(params: WrightParams, n_max: int) -> np.ndarray:
 class WrightEval(NamedTuple):
     value: complex
     terms: int
+    # sum |t_n| / |sum t_n|: about 1 without cancellation, and roughly the
+    # factor by which rounding error is amplified in the returned value
+    cancellation: float = 1.0
 
 
 def wright_eval(params: WrightParams, z: complex) -> WrightEval:
@@ -195,8 +198,9 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
 
     Terms are added until one falls below 1e-16 * (1 + |partial sum|), with
     a hard cap of 500 terms; the achieved term count is returned alongside
-    the value.  Exceeding the cap, or overflowing mid-sum, raises
-    :class:`ConvergenceError`; reaching a pole index raises
+    the value, with the cancellation ratio sum |t_n| / |sum t_n| (inf for
+    an exactly zero sum, 1.0 at z = 0).  Exceeding the cap, or overflowing
+    mid-sum, raises :class:`ConvergenceError`; reaching a pole index raises
     :class:`PoleError`.  The coefficients come from the log-space route in
     two blocks, 1-64 and 65-500; only a longer sum reads the second.
     """
@@ -206,6 +210,7 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
     if z == 0:
         return WrightEval(0j, 0)
     total = 0j
+    mass = 0.0
     z_pow = 1.0 + 0j
     n = 0
     for block in _TERM_BLOCKS:
@@ -221,9 +226,11 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
                     f"series term overflowed at n={n} for z={z!r}; "
                     "argument is outside the supported range"
                 )
+            size = abs(term)
             total += term
-            if abs(term) <= _TERM_TOL * (1.0 + abs(total)):
-                return WrightEval(total, n)
+            mass += size
+            if size <= _TERM_TOL * (1.0 + abs(total)):
+                return WrightEval(total, n, mass / abs(total) if total else math.inf)
     raise ConvergenceError(
         f"series did not meet the stopping rule within {_MAX_TERMS} terms for z={z!r}"
     )

@@ -380,3 +380,71 @@ class TestPastOrderCap:
             )
         assert code == 3
         assert "exceeds the floating-point range" in err
+
+    @pytest.mark.parametrize(
+        "alpha,beta,index", [(1, 1, 99), (0.5, 1.5, 129), (0, 1, 171)]
+    )
+    @pytest.mark.parametrize("command", ["generate", "verify-identities"])
+    def test_generator_names_the_first_order_past_the_cap(
+        self, capsys, command, alpha, beta, index
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(
+                capsys, command, "--schwarz", "0,0.4",
+                "--theta", "0.6", "--lam", "0.2", "--gamma", "2",
+                "--alpha", str(alpha), "--beta", str(beta), "--n-max", "200",
+            )
+        assert code == 3
+        assert err == f"error: a_{index} exceeds the floating-point range\n"
+
+
+class TestSizeLimits:
+    """Oversized size flags exit 2, naming flag and bound, before any work."""
+
+    CLASS_ARGS = ["--theta", "0", "--lam", "0", "--gamma", "2",
+                  "--alpha", "0", "--beta", "1"]
+    HUGE = str(10**12)
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        import wrightlens
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for module in (wrightlens.cli, wrightlens.special, wrightlens.laurent,
+                       wrightlens.bounds, wrightlens.membership, wrightlens.radii):
+            for name in ("phi_values", "polar_grid", "solve_radius"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv,flag,limit",
+        [
+            (["phi-table", "--alpha", "0", "--beta", "1", "--n-max", HUGE],
+             "--n-max", 10_000),
+            (["bounds", *CLASS_ARGS, "--n-max", HUGE], "--n-max", 10_000),
+            (["generate", *CLASS_ARGS, "--schwarz", "0,0.4", "--n-max", HUGE],
+             "--n-max", 10_000),
+            (["verify-identities", *CLASS_ARGS, "--random", "2", "--n-max", HUGE],
+             "--n-max", 10_000),
+            (["radius", "star", *CLASS_ARGS, "--n-max", HUGE], "--n-max", 10_000),
+            (["radius", "star", "--curve", "--extremal-n", "1", "--steps", HUGE],
+             "--steps", 10_000),
+            (["member", *CLASS_ARGS, "--coeffs", "missing.csv", "--scan",
+              "--eta-count", HUGE], "--eta-count", 4_096),
+            (["member", *CLASS_ARGS, "--coeffs", "missing.csv", "--grid-radii", HUGE],
+             "--grid-radii", 1_024),
+            (["member", *CLASS_ARGS, "--coeffs", "missing.csv", "--grid-angles", HUGE],
+             "--grid-angles", 4_096),
+        ],
+        ids=["phi-table", "bounds", "generate", "verify-identities", "radius",
+             "radius-steps", "member-eta-count", "member-grid-radii",
+             "member-grid-angles"],
+    )
+    def test_oversized_flag_exits_2(self, capsys, argv, flag, limit):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be <= {limit}, got {10**12}\n"

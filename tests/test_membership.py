@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrightlens import (
     ClassParams,
@@ -33,7 +35,7 @@ from wrightlens import (
 
 from wrightlens import membership
 
-from param_grids import class_grid, full_grid
+from param_grids import WRIGHT_PAIRS, class_grid, full_grid
 
 CP = ClassParams(0.0, 0.0, 2.0)
 WP = WrightParams(0.0, 1.0)
@@ -412,3 +414,113 @@ class TestZeroDenominatorGuard:
         with pytest.raises(SeriesDivisionError) as excinfo:
             convex_predicate(LaurentSeries(1.0, [4.0]), 0.0, 0.5)
         assert excinfo.value.at == 0.5
+
+
+# The generator's recursions as plain loops over numpy scalars.  The
+# library runs the same operations in the same order on Python complex, and
+# must reproduce these results bit for bit.
+
+
+def reference_series_divide(num, den):
+    out = np.zeros(len(num), dtype=complex)
+    for n in range(len(num)):
+        acc = num[n]
+        for k in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[k] * out[n - k]
+        out[n] = acc / den[0]
+    return out
+
+
+def reference_caratheodory(w, n_max):
+    one = np.zeros(n_max + 1, dtype=complex)
+    one[0] = 1.0
+    tau = 2.0 * reference_series_divide(one, np.concatenate(([1.0], -w.coeffs)))
+    tau[0] = 1.0
+    return tau
+
+
+def reference_generate(cp, wp, w, n_max):
+    shift, denom, _ = membership._tau_constants(cp)
+    phase = cmath.exp(-1j * cp.theta)
+    a = phase * denom * reference_caratheodory(w, n_max + 1)
+    a[0] += phase * (-shift)
+    if cp.lam == 0.0:
+        g = a
+    else:
+        den = -cp.lam * a
+        den[0] = 1.0 - cp.lam * a[0]
+        g = reference_series_divide((1.0 - cp.lam) * a, den)
+    h = np.zeros(n_max + 1, dtype=complex)
+    for n in range(1, n_max + 1):
+        acc = g[n + 1]
+        for k in range(1, n):
+            acc += g[n - k] * h[k]
+        h[n] = acc / (n + 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeffs = h[1:] / phi_values(wp, n_max)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise OverflowError(f"a_{bad[0] + 1} exceeds the floating-point range")
+    return coeffs
+
+
+# First order whose a_n leaves the double range, the same for every class tuple.
+ORDER_CAP = {(0.0, 1.0): 171, (1.0, 1.0): 99, (0.5, 1.5): 129}
+GRID_SCHWARZ = SchwarzFunction([0.0, 0.2 + 0.1j, -0.05j])
+
+complexes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def division_inputs(draw):
+    n = draw(st.integers(1, 200))
+    num = draw(st.lists(complexes, min_size=n, max_size=n))
+    m = draw(st.one_of(st.just(n), st.integers(1, n)))
+    # |den_k| <= 1 beside |den_0| >= 0.5 keeps every root of den at
+    # |z| >= 1/3, so 200 quotient terms stay far inside the double range
+    lead = draw(
+        st.complex_numbers(min_magnitude=0.5, max_magnitude=4.0).filter(lambda c: c != 1)
+    )
+    tail = draw(
+        st.lists(st.complex_numbers(max_magnitude=1.0), min_size=m - 1, max_size=m - 1)
+    )
+    return np.array(num, dtype=complex), np.array([lead] + tail, dtype=complex)
+
+
+class TestBitIdenticalRecursions:
+    @settings(max_examples=40, deadline=None)
+    @given(division_inputs())
+    def test_series_divide(self, inputs):
+        num, den = inputs
+        assert np.array_equal(
+            membership._series_divide(num, den), reference_series_divide(num, den)
+        )
+
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 60, 200])
+    @pytest.mark.parametrize(
+        "coeffs", [[0.3 - 0.2j], [0.0, 0.25, 0.15], [0.1j, -0.2, 0.05 + 0.3j]]
+    )
+    def test_caratheodory_series(self, coeffs, n_max):
+        w = SchwarzFunction(coeffs)
+        assert np.array_equal(
+            caratheodory_series(w, n_max).coeffs, reference_caratheodory(w, n_max)
+        )
+
+    @pytest.mark.parametrize("order", ["1", "2", "40", "cap-1"])
+    def test_schwarz_generate_over_grid(self, order):
+        for cp, wp in full_grid():
+            n = ORDER_CAP[wp.alpha, wp.beta] - 1 if order == "cap-1" else int(order)
+            got = schwarz_generate(cp, wp, GRID_SCHWARZ, n).coeffs
+            want = reference_generate(cp, wp, GRID_SCHWARZ, n)
+            assert np.array_equal(got, want), (cp, wp, n)
+
+    @pytest.mark.parametrize("pair", WRIGHT_PAIRS)
+    def test_past_cap_errors(self, pair):
+        cp, wp = ClassParams(0.6, 0.2, 2.0), WrightParams(*pair)
+        message = f"a_{ORDER_CAP[pair]} exceeds the floating-point range"
+        for n in range(ORDER_CAP[pair], 201):
+            with pytest.raises(OverflowError) as want:
+                reference_generate(cp, wp, GRID_SCHWARZ, n)
+            with pytest.raises(OverflowError) as got:
+                schwarz_generate(cp, wp, GRID_SCHWARZ, n)
+            assert str(got.value) == str(want.value) == message

@@ -236,6 +236,27 @@ class TestWrightEval:
         with pytest.raises(ConvergenceError):
             wright_eval(WrightParams(0.0, 1.0), 300.0)
 
+    def test_cancellation_flags_an_inaccurate_sum(self):
+        # terms of both signs, the largest near 1e9, cancel to a sum near
+        # -0.46: the ratio reports the loss of most significant digits
+        result = wright_eval(WrightParams(-0.5, 0.75), 10.0)
+        assert result.cancellation > 1e8
+        with mpmath.workdps(50):
+            want = complex(mpmath.nsum(
+                lambda n: mpmath.mpf(10) ** n * mpmath.rgamma(-0.5 * n + 0.75)
+                / mpmath.factorial(n),
+                [1, mpmath.inf],
+            ))
+        assert abs(result.value - want) / abs(want) == pytest.approx(2.7e-4, rel=0.05)
+
+    def test_cancellation_is_one_for_positive_terms(self):
+        assert wright_eval(WrightParams(0.0, 1.0), 1.0).cancellation == pytest.approx(
+            1.0, rel=1e-15
+        )
+
+    def test_cancellation_at_zero(self):
+        assert wright_eval(WrightParams(0.3, 2.0), 0.0).cancellation == 1.0
+
     def test_rejects_non_finite(self):
         with pytest.raises(ParameterError):
             wright_eval(WrightParams(0.0, 1.0), complex(math.inf, 0.0))
