@@ -30,7 +30,6 @@ from .errors import (
 from .laurent import (
     GridSpec,
     _read_indexed_csv,
-    polar_grid,
     read_coefficient_csv,
     write_coefficient_csv,
 )
@@ -51,6 +50,7 @@ _SIZE_LIMITS = {
     "eta_count": ("--eta-count", 4_096),
     "grid_radii": ("--grid-radii", 1_024),
     "grid_angles": ("--grid-angles", 4_096),
+    "random": ("--random", 10_000),
 }
 
 
@@ -285,9 +285,8 @@ def cmd_member(args) -> int:
     for line in lines:
         print(line)
 
-    pts = polar_grid(grid)
     try:
-        tau = member_mod.tau_transform(f, cp, wp, pts)
+        pts, tau = member_mod._grid_tau(f, cp, wp, grid)
         re_tau = np.real(tau)
     except SeriesDivisionError:
         re_tau = None
@@ -335,6 +334,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    if args.n_max < 1:
+        raise ParameterError(f"--n-max must be >= 1, got {args.n_max!r}")
+    if args.random < 0:
+        raise ParameterError(f"--random must be >= 0, got {args.random!r}")
     cp = _class_params(args)
     wp = _wright_params(args)
     if args.schwarz is None and not args.random:

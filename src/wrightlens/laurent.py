@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +171,12 @@ def evaluate_ratio(num: LaurentSeries, den: LaurentSeries, z):
     A denominator that vanishes at a point raises
     :class:`SeriesDivisionError` carrying the first such point.
     """
-    top, bottom = evaluate(num, z), evaluate(den, z)
+    return _divide(evaluate(num, z), evaluate(den, z), z)
+
+
+def _divide(top, bottom, z):
+    """top / bottom, or :class:`SeriesDivisionError` at the first z where
+    ``bottom`` is exactly zero."""
     zero = np.asarray(bottom) == 0
     if np.any(zero):
         bad = complex(np.asarray(z, dtype=complex)[zero].ravel()[0])
@@ -199,13 +205,70 @@ class GridSpec:
             )
 
 
-def polar_grid(spec: GridSpec, r_max: float | None = None) -> np.ndarray:
-    """Flattened complex sample points; optionally rescaled to end at r_max."""
+def _grid_radii(spec: GridSpec, r_max: float | None) -> np.ndarray:
     hi = spec.r_max if r_max is None else r_max
     lo = spec.r_min * (hi / spec.r_max)
-    radii = np.geomspace(lo, hi, spec.radii)
-    angles = np.exp(2j * np.pi * np.arange(spec.angles) / spec.angles)
-    return np.outer(radii, angles).ravel()
+    return np.geomspace(lo, hi, spec.radii)
+
+
+def _ring_points(radii: np.ndarray, angles: int) -> np.ndarray:
+    return np.outer(radii, np.exp(2j * np.pi * np.arange(angles) / angles)).ravel()
+
+
+def polar_grid(spec: GridSpec, r_max: float | None = None) -> np.ndarray:
+    """Flattened complex sample points; optionally rescaled to end at r_max."""
+    return _ring_points(_grid_radii(spec, r_max), spec.angles)
+
+
+def _grid_values(
+    series: Sequence[LaurentSeries], spec: GridSpec, r_max: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(polar_grid(spec, r_max), values)``; ``values[j]`` is ``series[j]``
+    at those points, in the same flattened order.
+
+    On the ring |z| = r with w = e^{2 pi i/A}, A = spec.angles, the samples
+    f(r w^k) = sum_n a_n r^n w^{(n mod A) k} + (principal/r) w^{(A-1) k} are
+    one discrete Fourier sum, so the terms a_n r^n are folded modulo A and
+    each ring costs one inverse FFT: O(R A log A) for the grid instead of
+    Horner's O(R A n).  Folding runs A coefficients at a time, so memory
+    stays O(R A) per series for any truncation.  The values are those at the
+    exact roots of unity; the returned points are their rounding.
+    """
+    radii = _grid_radii(spec, r_max)
+    a = spec.angles
+    # terms[j, n] = a_n of series j (a_0 = 0, and zero past its truncation)
+    terms = np.zeros((len(series), 1 + max(f.truncation for f in series)), complex)
+    bins = np.zeros((len(series), len(radii), a), dtype=complex)
+    for j, f in enumerate(series):
+        terms[j, 1 : 1 + f.truncation] = f.coeffs
+        bins[j, :, a - 1] = f.principal / radii
+    for start in range(0, terms.shape[1], a):
+        chunk = terms[:, start : start + a]
+        powers = radii[:, None] ** np.arange(start, start + chunk.shape[1])
+        bins[:, :, : chunk.shape[1]] += chunk[:, None, :] * powers
+    values = np.fft.ifft(bins, axis=-1, norm="forward").reshape(len(series), -1)
+    return _ring_points(radii, a), values
+
+
+def _grid_ratio(
+    num: LaurentSeries, den: LaurentSeries, spec: GridSpec, r_max: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(polar_grid(spec, r_max), num / den there)`` with
+    :func:`evaluate_ratio`'s zero guard."""
+    pts, (top, bottom) = _grid_values((num, den), spec, r_max)
+    return pts, _divide(top, bottom, pts)
+
+
+# Grid values within this relative distance of an extremum count as tied.
+_TIE_RTOL = 1e-12
+
+
+def _first_tied(values: np.ndarray, low: float) -> int:
+    """Index of the first value within a relative _TIE_RTOL of the minimum.
+
+    For a maximum pass both negated: ``_first_tied(-values, -high)``.
+    """
+    return int(np.argmax(values <= low * (1.0 + math.copysign(_TIE_RTOL, low))))
 
 
 def _read_indexed_csv(path, header: tuple[str, ...]) -> np.ndarray:

@@ -35,8 +35,10 @@ from .laurent import (
     GridSpec,
     LaurentSeries,
     TaylorSeries,
+    _first_tied,
+    _grid_ratio,
+    _grid_values,
     apply_operator,
-    evaluate,
     evaluate_ratio,
     hadamard,
     lambda_mix,
@@ -64,7 +66,6 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-9
 _ETA_TOL = 1e-12
 _G0_TOL = 1e-10
-_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +129,18 @@ def _tau_constants(cp: ClassParams) -> tuple[complex, float, float]:
     return shift, denom, one_m2
 
 
-def _ratio(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
-    """R(z): the z-derivative over the lambda mix of the operator image H."""
+def _ratio_parts(
+    f: LaurentSeries, cp: ClassParams, wp: WrightParams
+) -> tuple[LaurentSeries, LaurentSeries]:
+    """R's numerator and denominator: the z-derivative and the lambda mix of
+    the operator image H."""
     h = apply_operator(wp, f)
-    return evaluate_ratio(z_derivative(h), lambda_mix(h, cp.lam), z)
+    return z_derivative(h), lambda_mix(h, cp.lam)
+
+
+def _tau_of_ratio(cp: ClassParams, ratio):
+    shift, denom, _ = _tau_constants(cp)
+    return (cmath.exp(1j * cp.theta) * ratio + shift) / denom
 
 
 def tau_transform(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
@@ -141,8 +150,17 @@ def tau_transform(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
     image; a vanishing mix denominator raises :class:`SeriesDivisionError`
     carrying the offending point.
     """
-    shift, denom, _ = _tau_constants(cp)
-    return (cmath.exp(1j * cp.theta) * _ratio(f, cp, wp, z) + shift) / denom
+    return _tau_of_ratio(cp, evaluate_ratio(*_ratio_parts(f, cp, wp), z))
+
+
+def _grid_tau(
+    f: LaurentSeries, cp: ClassParams, wp: WrightParams, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(polar_grid(grid), tau there)``, evaluated ring by ring (see
+    ``laurent._grid_values``).  :func:`membership_check` and the CLI's grid
+    CSV both read it, so they report the same numbers."""
+    pts, ratio = _grid_ratio(*_ratio_parts(f, cp, wp), grid)
+    return pts, _tau_of_ratio(cp, ratio)
 
 
 @dataclass(frozen=True)
@@ -167,24 +185,26 @@ def membership_check(
 
     ``member`` needs the minimum above +tol, ``not_member`` below -tol;
     anything inside the band -- or a division failure -- is inconclusive.
+    The reported point is the first grid point tied with the minimum, as in
+    :func:`convolution_scan`.
     """
-    pts = polar_grid(grid)
     try:
-        values = tau_transform(f, cp, wp, pts)
+        pts, tau = _grid_tau(f, cp, wp, grid)
     except SeriesDivisionError as exc:
         return MembershipReport(
             math.nan, exc.at, grid, "inconclusive", diagnostic=str(exc)
         )
-    re = np.real(values)
-    idx = int(np.argmin(re))
-    lowest = float(re[idx])
+    re = np.real(tau)
+    lowest = float(re.min())
     if lowest > tol:
         verdict = "member"
     elif lowest < -tol:
         verdict = "not_member"
     else:
         verdict = "inconclusive"
-    return MembershipReport(lowest, complex(pts[idx]), grid, verdict)
+    return MembershipReport(
+        lowest, complex(pts[_first_tied(re, lowest)]), grid, verdict
+    )
 
 
 def a_of_t(cp: ClassParams, w: SchwarzFunction, t):
@@ -401,7 +421,8 @@ def convolution_scan(
 
     The kernel is affine in eta, K(eta) = K0 + eta * K1, so f * K(eta) =
     X + eta * Y with X = f * K0 and Y = f * K1.  X and Y are evaluated on
-    the grid once; each eta then costs one O(points) pass over |X + eta Y|.
+    the grid once (ring by ring, see ``laurent._grid_values``); each eta
+    then costs one O(points) pass over |X + eta Y|.
     Moduli within a relative _TIE_RTOL of a minimum count as tied (for an
     odd f, z and -z agree to rounding): the first tied grid point and the
     first tied eta are reported, so the report does not hang on the order
@@ -409,10 +430,8 @@ def convolution_scan(
     """
     if eta_count < 8:
         raise ParameterError(f"eta_count must be >= 8, got {eta_count!r}")
-    pts = polar_grid(grid)
     k0, k1 = _kernel_parts(cp, wp, max(f.truncation, 1))
-    x = evaluate(hadamard(f, k0), pts)
-    y = evaluate(hadamard(f, k1), pts)
+    pts, (x, y) = _grid_values((hadamard(f, k0), hadamard(f, k1)), grid)
     scans = []
     for j in range(1, eta_count):
         eta = cmath.exp(2j * math.pi * j / eta_count)
@@ -424,11 +443,6 @@ def convolution_scan(
     return ConvolutionScanReport(
         tuple(scans), low, best.eta, best.argmin_z, low < tol
     )
-
-
-def _first_tied(values: np.ndarray, low: float) -> int:
-    """Index of the first value within a relative _TIE_RTOL of ``low``."""
-    return int(np.argmax(values <= low * (1.0 + _TIE_RTOL)))
 
 
 @dataclass(frozen=True)
@@ -449,14 +463,14 @@ def sufficiency_predicate(
 
     Staying at or below the threshold on the whole punctured disk is
     sufficient for membership; the grid version witnesses only the sampled
-    points.
+    points, and reports the first grid point tied with the maximum.
     """
-    pts = polar_grid(grid)
-    offsets = np.abs(_ratio(f, cp, wp, pts) + 1.0)
-    idx = int(np.argmax(offsets))
+    pts, ratio = _grid_ratio(*_ratio_parts(f, cp, wp), grid)
+    offsets = np.abs(ratio + 1.0)
+    highest = float(offsets.max())
     threshold = (1.0 + cp.gamma) * math.cos(cp.theta)
     return SufficiencyReport(
-        float(offsets[idx]), threshold, bool(offsets[idx] <= threshold),
-        complex(pts[idx]),
+        highest, threshold, highest <= threshold,
+        complex(pts[_first_tied(-offsets, -highest)]),
     )
 

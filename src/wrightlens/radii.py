@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, TruncationWarning
-from .laurent import GridSpec, LaurentSeries, evaluate_ratio, polar_grid, z_derivative
+from .laurent import GridSpec, LaurentSeries, _first_tied, _grid_ratio, z_derivative
 
 __all__ = [
     "RadiusQuery",
@@ -228,7 +228,8 @@ class PredicateReport:
     """Grid evaluation of a sufficient condition and the defining condition.
 
     ``holds`` refers to the one-sided modulus test; ``witness`` is the worst
-    sampled point when it fails.  The defining condition (a strict real-part
+    sampled point when it fails.  Each witness is the first grid point tied
+    with its extremum.  The defining condition (a strict real-part
     inequality) is reported alongside because the modulus test is sufficient
     but not necessary.
     """
@@ -247,15 +248,15 @@ class PredicateReport:
 
 def _predicate_report(kind, rho, r, pts, q) -> PredicateReport:
     mods = np.abs(q)
-    i = int(np.argmax(mods))
+    highest = float(mods.max())
     threshold = 1.0 - rho
-    holds = bool(mods[i] <= threshold)
+    holds = highest <= threshold
     defining = 1.0 - np.real(q)
-    j = int(np.argmin(defining))
+    lowest = float(defining.min())
     return PredicateReport(
-        kind, rho, r, holds, float(mods[i]), threshold,
-        None if holds else complex(pts[i]),
-        float(defining[j]), bool(defining[j] > rho), complex(pts[j]),
+        kind, rho, r, holds, highest, threshold,
+        None if holds else complex(pts[_first_tied(-mods, -highest)]),
+        lowest, lowest > rho, complex(pts[_first_tied(defining, lowest)]),
     )
 
 
@@ -275,9 +276,8 @@ def starlike_predicate(
     points.  A zero of h on the grid raises :class:`SeriesDivisionError`.
     """
     _check_predicate_args(rho, r)
-    pts = polar_grid(grid, r_max=r)
-    q = evaluate_ratio(z_derivative(h), h, pts) + 1.0
-    return _predicate_report("starlike", rho, r, pts, q)
+    pts, ratio = _grid_ratio(z_derivative(h), h, grid, r)
+    return _predicate_report("starlike", rho, r, pts, ratio + 1.0)
 
 
 def convex_predicate(
@@ -291,9 +291,8 @@ def convex_predicate(
     raises :class:`SeriesDivisionError`.
     """
     _check_predicate_args(rho, r)
-    pts = polar_grid(grid, r_max=r)
     n = np.arange(1, h.truncation + 1)
     numer = LaurentSeries(0.0, n * (n + 1) * h.coeffs)
     # z (z h'' + 2 h') / (z h') IS the quantity z h''/h' + 2; no further shift.
-    q = evaluate_ratio(numer, z_derivative(h), pts)
+    pts, q = _grid_ratio(numer, z_derivative(h), grid, r)
     return _predicate_report("convex", rho, r, pts, q)

@@ -260,6 +260,22 @@ class TestMemberCommand:
         assert lines[-1].startswith("# summary:")
         assert len(lines) == 2 + 16 * 64 + 1
 
+    def test_grid_csv_minimum_is_the_reported_minimum(self, capsys, tmp_path):
+        coeffs = tmp_path / "coeffs.csv"
+        rotated = ["--theta", "0.6", "--lam", "0.2", "--gamma", "2",
+                   "--alpha", "0.5", "--beta", "1.5"]
+        assert run(capsys, "generate", *rotated, "--schwarz", "0,0.2,0.1",
+                   "--n-max", "40", "--out", str(coeffs))[0] == 0
+        out_path = tmp_path / "grid.csv"
+        code, out, _ = run(capsys, "member", *rotated, "--coeffs", str(coeffs),
+                           "--out", str(out_path))
+        assert code == 0
+        text = out_path.read_text()
+        csv_min = min(float(row.split(",")[2]) for row in data_rows(text))
+        summary = text.splitlines()[-1].split("min_re_tau=")[1]
+        reported = out.split("min_re_tau=")[1].split()[0]
+        assert repr(csv_min) == summary == reported
+
     def test_unreadable_file_exits_5(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "member", *self.CLASS_ARGS, "--coeffs", str(tmp_path / "nope.csv")
@@ -360,6 +376,15 @@ class TestVerifyIdentities:
         code, _, _ = run(capsys, "verify-identities", *self.CLASS_ARGS)
         assert code == 2
 
+    def test_n_max_below_one_exits_2_before_output(self, capsys):
+        code, out, err = run(
+            capsys, "verify-identities", *self.CLASS_ARGS, "--random", "2",
+            "--n-max", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-max must be >= 1, got 0\n"
+
 
 class TestPastOrderCap:
     """Orders whose a_n or A_n leave the double range fail as numerical errors."""
@@ -415,7 +440,8 @@ class TestSizeLimits:
 
         for module in (wrightlens.cli, wrightlens.special, wrightlens.laurent,
                        wrightlens.bounds, wrightlens.membership, wrightlens.radii):
-            for name in ("phi_values", "polar_grid", "solve_radius"):
+            for name in ("phi_values", "polar_grid", "_grid_values", "solve_radius",
+                         "SchwarzFunction"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
 
@@ -429,6 +455,7 @@ class TestSizeLimits:
              "--n-max", 10_000),
             (["verify-identities", *CLASS_ARGS, "--random", "2", "--n-max", HUGE],
              "--n-max", 10_000),
+            (["verify-identities", *CLASS_ARGS, "--random", HUGE], "--random", 10_000),
             (["radius", "star", *CLASS_ARGS, "--n-max", HUGE], "--n-max", 10_000),
             (["radius", "star", "--curve", "--extremal-n", "1", "--steps", HUGE],
              "--steps", 10_000),
@@ -439,7 +466,8 @@ class TestSizeLimits:
             (["member", *CLASS_ARGS, "--coeffs", "missing.csv", "--grid-angles", HUGE],
              "--grid-angles", 4_096),
         ],
-        ids=["phi-table", "bounds", "generate", "verify-identities", "radius",
+        ids=["phi-table", "bounds", "generate", "verify-identities",
+             "verify-identities-random", "radius",
              "radius-steps", "member-eta-count", "member-grid-radii",
              "member-grid-angles"],
     )
@@ -448,3 +476,10 @@ class TestSizeLimits:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} must be <= {limit}, got {10**12}\n"
+
+    def test_negative_random_count_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify-identities", *self.CLASS_ARGS,
+                             "--random", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --random must be >= 0, got -1\n"

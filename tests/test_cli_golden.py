@@ -62,7 +62,9 @@ CASES = [
      None),
     ("verify_random",
      ["verify-identities", *CLASS_ROTATED, "--random", "3", "--n-max", "16"], "7"),
-    # an asymmetric Schwarz polynomial leaves no z <-> -z ties in the scan
+    # an asymmetric Schwarz polynomial leaves no z <-> -z ties in the scan;
+    # its real coefficients still tie z and conj(z) in Re tau, and the
+    # membership line reports the first of the two
     ("generate_asymmetric",
      ["generate", *CLASS_ROTATED, "--schwarz", "0,0.2,0.1", "--n-max", "40",
       "--out", "asymmetric.csv"], None),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from wrightlens import (
     GridSpec,
     LaurentSeries,
     ParameterError,
+    SeriesDivisionError,
     TaylorSeries,
     WrightParams,
     apply_operator,
@@ -23,6 +25,7 @@ from wrightlens import (
     write_coefficient_csv,
     z_derivative,
 )
+from wrightlens import laurent
 
 coeff_lists = st.lists(
     st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
@@ -232,6 +235,91 @@ class TestGrid:
     def test_polar_grid_rescale(self):
         pts = polar_grid(GridSpec(), r_max=0.5)
         assert np.abs(pts).max() == pytest.approx(0.5, rel=1e-12)
+
+
+def grid_reference(f, spec, r_max=None):
+    """f at r * e^{2 pi i k/A} with exact roots of unity, by 30-digit Horner,
+    and the scale |principal|/r + sum |a_n| r^n of each value."""
+    values, scales = [], []
+    coeffs = [mpmath.mpc(c) for c in f.coeffs[::-1]]
+    with mpmath.workdps(30):
+        for r in laurent._grid_radii(spec, r_max):
+            r = mpmath.mpf(r)
+            scale = abs(f.principal) / r + sum(
+                abs(c) * r**n for n, c in enumerate(f.coeffs.tolist(), 1)
+            )
+            for k in range(spec.angles):
+                z = r * mpmath.expjpi(mpmath.mpf(2 * k) / spec.angles)
+                tail = mpmath.mpc(0)
+                for c in coeffs:
+                    tail = (tail + c) * z
+                values.append(complex(f.principal / z + tail))
+                scales.append(float(scale))
+    return np.array(values), np.array(scales)
+
+
+class TestGridValues:
+    """The per-ring FFT route against mpmath at the exact roots of unity.
+
+    polar_grid's points are those roots rounded, and an ulp in z moves a
+    long series by more than the route's own error, so the reference is
+    not evaluate() at polar_grid's points.
+    """
+
+    @pytest.mark.parametrize(
+        "principal,n,angles,r_max",
+        [
+            (1.0, 20, 32, None),  # N < A
+            (1.0, 300, 64, None),  # N >= A: terms fold modulo A
+            (1.0, 0, 32, None),  # the bare pole
+            (-0.7 + 2j, 10, 32, None),
+            (1.0, 40, 48, 0.5),
+        ],
+        ids=["short", "folded", "bare-pole", "principal", "r-max"],
+    )
+    def test_matches_mpmath_at_exact_roots(self, principal, n, angles, r_max):
+        rng = np.random.default_rng(n + angles)
+        f = LaurentSeries(principal, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        spec = GridSpec(radii=8, angles=angles)
+        pts, (got,) = laurent._grid_values([f], spec, r_max)
+        assert np.array_equal(pts, polar_grid(spec, r_max))
+        want, scale = grid_reference(f, spec, r_max)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_series_of_different_lengths_together(self):
+        rng = np.random.default_rng(9)
+        spec = GridSpec(radii=8, angles=32)
+        series = [LaurentSeries(0.5j, rng.standard_normal(n)) for n in (3, 70, 0)]
+        _, together = laurent._grid_values(series, spec)
+        for f, values in zip(series, together):
+            assert np.array_equal(values, laurent._grid_values([f], spec)[1][0])
+
+    def test_ratio_zero_guard_reports_grid_point(self):
+        # 1/z - 4z vanishes at z = 0.5, the last radius of the rescaled grid
+        spec = GridSpec()
+        with pytest.raises(SeriesDivisionError) as excinfo:
+            laurent._grid_ratio(LaurentSeries(1.0), LaurentSeries(1.0, [-4.0]), spec, 0.5)
+        assert excinfo.value.at == 0.5
+        assert excinfo.value.at in polar_grid(spec, 0.5)
+
+
+class TestFirstTied:
+    def test_nonnegative_values_keep_the_relative_threshold(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            values = rng.choice([0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-11, 2.0], size=12)
+            low = float(values.min())
+            want = int(np.argmax(values <= low * (1.0 + laurent._TIE_RTOL)))
+            assert laurent._first_tied(values, low) == want
+
+    def test_negative_minimum_and_maximum(self):
+        values = np.array([-1.0 + 1e-11, -1.0 + 1e-13, -1.0, -1.0 + 1e-13])
+        assert laurent._first_tied(values, -1.0) == 1
+        # a maximum: pass both negated
+        values = np.array([-2.0, -1.0 - 1e-13, -1.0, -3.0])
+        assert laurent._first_tied(-values, 1.0) == 1
+        mods = np.array([3.0, 5.0 - 1e-13, 5.0])
+        assert laurent._first_tied(-mods, -5.0) == 1
 
 
 class TestCoefficientCsv:

@@ -132,6 +132,28 @@ class TestMembershipCheck:
         wide = membership_check(f, CP, WP, tol=2 * baseline.min_re_tau)
         assert wide.verdict == "inconclusive"
 
+    @pytest.mark.parametrize(
+        "cp,wp,grid",
+        [
+            (CP, WP, GridSpec()),
+            (CP, WP, GridSpec(radii=32, angles=128)),
+            (ClassParams(0.3, 0.1, 3.0), WP, GridSpec()),
+            (ClassParams(0.6, 0.2, 2.0), WrightParams(1.0, 1.0), GridSpec(angles=96)),
+        ],
+    )
+    def test_even_tau_reports_first_of_symmetric_pair(self, cp, wp, grid):
+        # w = 0.4 z^2 makes tau and R even, so the values at z and -z (the
+        # grid point A/2 angles on) tie; the first of the two is reported
+        f = schwarz_generate(cp, wp, SchwarzFunction([0.0, 0.4]), 30)
+        report = membership_check(f, cp, wp, grid)
+        suff = sufficiency_predicate(f, cp, wp, grid)
+        pts = polar_grid(grid)
+        for z in (report.argmin_z, suff.argmax_z):
+            k = int(np.flatnonzero(pts == z)[0]) % grid.angles
+            assert k < grid.angles // 2
+        partner = np.real(tau_transform(f, cp, wp, -report.argmin_z))
+        assert partner == pytest.approx(report.min_re_tau, rel=1e-12)
+
 
 class TestRatioTarget:
     def test_origin_value_forced(self):
@@ -414,6 +436,24 @@ class TestZeroDenominatorGuard:
         with pytest.raises(SeriesDivisionError) as excinfo:
             convex_predicate(LaurentSeries(1.0, [4.0]), 0.0, 0.5)
         assert excinfo.value.at == 0.5
+
+
+def test_grid_consumers_do_not_call_evaluate(monkeypatch):
+    import wrightlens
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid consumers evaluate ring by ring")
+
+    for module in (wrightlens.laurent, wrightlens.membership, wrightlens.radii):
+        monkeypatch.setattr(module, "evaluate", refuse, raising=False)
+    f = schwarz_generate(CP, WP, SchwarzFunction([0.0, 0.3]), 20)
+    grid = GridSpec(radii=8, angles=32)
+    assert membership_check(f, CP, WP, grid).verdict == "member"
+    sufficiency_predicate(f, CP, WP, grid)
+    assert not convolution_scan(f, CP, WP, eta_count=8, grid=grid).vanishes
+    h = apply_operator(WP, f)
+    starlike_predicate(h, 0.0, 0.3, grid)
+    convex_predicate(h, 0.0, 0.3, grid)
 
 
 # The generator's recursions as plain loops over numpy scalars.  The

@@ -327,6 +327,8 @@ class TestPredicates:
         assert report.witness is not None
         assert abs(abs(report.witness) - 0.9) < 1e-12
         assert (report.witness**2).real < 0.0
+        # z and -z tie (h is odd); the first tied grid point is reported
+        assert report.witness == pts[np.argmax(oracle >= oracle.max() * (1 - 1e-12))]
         # the defining real-part condition still holds: the modulus test is
         # sufficient, not necessary
         assert report.defining_holds
