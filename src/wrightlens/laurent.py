@@ -12,6 +12,7 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,9 +207,16 @@ class GridSpec:
 
 
 def _grid_radii(spec: GridSpec, r_max: float | None) -> np.ndarray:
-    hi = spec.r_max if r_max is None else r_max
+    return _ring_radii(spec, spec.r_max if r_max is None else float(r_max))
+
+
+@lru_cache(maxsize=64)
+def _ring_radii(spec: GridSpec, hi: float) -> np.ndarray:
+    """The ring radii, read-only: grid checks share one array per key."""
     lo = spec.r_min * (hi / spec.r_max)
-    return np.geomspace(lo, hi, spec.radii)
+    radii = np.geomspace(lo, hi, spec.radii)
+    radii.setflags(write=False)
+    return radii
 
 
 def _ring_points(radii: np.ndarray, angles: int) -> np.ndarray:

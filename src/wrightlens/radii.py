@@ -11,6 +11,14 @@ is sufficient for the respective geometric property on |z| < r.  S is
 strictly increasing in r, so the supremum of the feasible set is either the
 whole punctured disk or the unique root of S(r) = 1; the solver bisects for
 that root and returns the conservative lower bracket end.
+
+The bisection takes the same midpoints, steps and result as one that
+evaluates S at every midpoint, but evaluates it about four times per query.
+A few Newton steps on log S against log r put the root in a window of
+relative width 2e-11; two evaluations of S certify that the float S lies
+below 1 left of the window and above 1 right of it, which decides every
+midpoint outside it.  S is evaluated only at midpoints inside the window and
+for the residual at the stop test.
 """
 
 from __future__ import annotations
@@ -41,7 +49,14 @@ KINDS = ("starlike", "convex")
 
 _EDGE = 1.0 - 1e-9
 _MIN_TOL = 1e-12
+_MAX_TOL = 0.5
 _MAX_BISECT = 400
+# Relative error bound of _sum_at, half-width of the window around the Newton
+# root, and Newton's stop size and iteration cap (see _window).
+_KAPPA = 1e-13
+_WINDOW = 1e-11
+_NEWTON_STOP = 1e-13
+_NEWTON_CAP = 50
 
 
 def _multipliers(kind: str, rho: float, n: np.ndarray) -> np.ndarray:
@@ -95,7 +110,8 @@ class RadiusResult:
 
     ``unconstrained`` marks the case where the constraint never reaches 1
     inside the disk; the radius is then pinned just below 1.  ``steps`` counts
-    the evaluations of S the bisection made, the check at the edge included.
+    the bisection's halvings plus the check at the edge; it is not the number
+    of evaluations of S.
     """
 
     radius: float
@@ -130,6 +146,51 @@ def _sum_at(c: np.ndarray, e: np.ndarray, r: float) -> float:
     return float(np.add.reduce(c * r**e))
 
 
+def _newton_root(c: np.ndarray, e: np.ndarray) -> float:
+    """Approximate root of S(r) = 1 by Newton on log S against log r.
+
+    Only terms with c_n > 0 take part.  At r0 = min(c_n^(-1/e_n), _EDGE)
+    every term is at most 1, so S(r0) <= n and nothing overflows; log S is
+    convex in log r, so the iterates fall towards the root from above.
+    """
+    pos = c > 0.0
+    c, e = c[pos], e[pos]
+    r = min(float(np.min(c ** (-1.0 / e))), _EDGE)
+    for _ in range(_NEWTON_CAP):
+        p = c * r**e
+        s = float(np.add.reduce(p))
+        if not s > 0.0:
+            break
+        step = s * math.log(s) / float(np.dot(e, p))
+        r *= math.exp(-step)
+        if abs(step) <= _NEWTON_STOP:
+            break
+    return r
+
+
+def _window(c: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """(a, b) such that every comparison _sum_at(mid) > 1 is false for
+    mid <= a and true for mid >= b; (0, inf) when that cannot be certified.
+
+    _sum_at is within _KAPPA * max(S, 1) of the exact sum of its terms, with
+    room to spare: every term is nonnegative, pow and the product add an ulp
+    or two per term, numpy's pairwise sum adds O(u log n) of S (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 4.2),
+    and a power that underflows adds at most c_n * 2**-1074, under 1e-15 in
+    all while sum(c) is finite.  The exact S is increasing, so
+    _sum_at(a) <= 1 - 3 kappa keeps it below 1 - 2 kappa, and _sum_at below
+    1, at every mid <= a; _sum_at(b) >= 1 + 3 kappa keeps both above 1 at
+    every mid >= b.
+    """
+    if math.isfinite(float(np.add.reduce(c))):
+        r = _newton_root(c, e)
+        a, b = r * (1.0 - _WINDOW), r * (1.0 + _WINDOW)
+        if (0.0 < a < b < _EDGE and _sum_at(c, e, a) <= 1.0 - 3.0 * _KAPPA
+                and _sum_at(c, e, b) >= 1.0 + 3.0 * _KAPPA):
+            return a, b
+    return 0.0, math.inf
+
+
 def constraint_sum(q: RadiusQuery, r: float) -> float:
     """S(r) for 0 <= r < 1; strictly increasing when any weight is positive."""
     if not (0.0 <= r < 1.0):
@@ -140,26 +201,42 @@ def constraint_sum(q: RadiusQuery, r: float) -> float:
 
 
 def _bisect(q: RadiusQuery) -> RadiusResult:
+    """Bisection for the root of S(r) = 1, deciding S(mid) > 1 from the
+    certified window where it can, so S is evaluated only inside it and for
+    the residual at the stop test; every midpoint, step and result is that
+    of evaluating S at each midpoint.
+    """
     with np.errstate(over="ignore"):
         c, e = _terms(q)
         s_edge = _sum_at(c, e, _EDGE)
         steps = 1
         if s_edge <= 1.0:
             return RadiusResult(_EDGE, (_EDGE, _EDGE), q.n_max, s_edge, True, steps)
+        a, b = _window(c, e)
         lo, hi = 0.0, _EDGE
         s_lo = 0.0
         for _ in range(_MAX_BISECT):
-            if hi - lo <= q.tol and abs(s_lo - 1.0) <= 10.0 * q.tol:
-                break
+            if hi - lo <= q.tol:
+                if s_lo is None:
+                    s_lo = _sum_at(c, e, lo)
+                if abs(s_lo - 1.0) <= 10.0 * q.tol:
+                    break
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            s_mid = _sum_at(c, e, mid)
             steps += 1
-            if s_mid > 1.0:
+            if mid <= a:
+                lo, s_lo = mid, None
+            elif mid >= b:
                 hi = mid
             else:
-                lo, s_lo = mid, s_mid
+                s_mid = _sum_at(c, e, mid)
+                if s_mid > 1.0:
+                    hi = mid
+                else:
+                    lo, s_lo = mid, s_mid
+        if s_lo is None:
+            s_lo = _sum_at(c, e, lo)
     return RadiusResult(lo, (lo, hi), q.n_max, s_lo, False, steps)
 
 
@@ -173,6 +250,9 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
     """
     if q.tol < _MIN_TOL:
         raise ParameterError(f"tol must be at least {_MIN_TOL}, got {q.tol!r}")
+    if not q.tol < _MAX_TOL:
+        # with tol >= _EDGE the loop would stop before its first halving
+        raise ParameterError(f"tol must be finite and below {_MAX_TOL}, got {q.tol!r}")
     if not np.any(q.weights > 0.0):
         raise ParameterError("at least one weight must be positive")
     base = _bisect(q)

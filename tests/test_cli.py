@@ -214,6 +214,36 @@ class TestRadiusCommand:
         code, _, _ = run(capsys, "radius", "star", "--rho", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "2"])
+    def test_tol_past_the_bracket_exits_2(self, capsys, tol):
+        # such a tol once stopped the bisection before its first halving and
+        # printed the bracket [0, 1 - 1e-9] as a radius of 0.0 with exit 0
+        code, out, err = run(
+            capsys, "radius", "star", "--rho", "0", "--extremal-n", "1", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and below 0.5" in err
+
+    def test_curve_builds_class_weights_once_per_truncation(self, capsys, monkeypatch):
+        import wrightlens
+
+        sizes = []
+        weights = wrightlens.bounds.operator_weights
+
+        def counted(cp, wp, k):
+            sizes.append(k)
+            return weights(cp, wp, k)
+
+        monkeypatch.setattr(wrightlens.bounds, "operator_weights", counted)
+        code, out, _ = run(
+            capsys, "radius", "star", "--curve", "--steps", "5", "--theta", "0",
+            "--lam", "0", "--gamma", "2", "--alpha", "0", "--beta", "1", "--n-max", "20",
+        )
+        assert code == 0
+        assert len(data_rows(out)) == 5
+        assert sorted(sizes) == [20, 40]
+
 
 class TestMemberCommand:
     CLASS_ARGS = ["--theta", "0", "--lam", "0", "--gamma", "2",

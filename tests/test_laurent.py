@@ -236,6 +236,16 @@ class TestGrid:
         pts = polar_grid(GridSpec(), r_max=0.5)
         assert np.abs(pts).max() == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("r_max", [None, 0.5, np.float64(0.37)])
+    def test_radii_memo_is_geomspace_read_only(self, r_max):
+        spec = GridSpec(radii=12, angles=32, r_min=0.1, r_max=0.9)
+        hi = spec.r_max if r_max is None else r_max
+        radii = laurent._grid_radii(spec, r_max)
+        assert np.array_equal(radii, np.geomspace(spec.r_min * (hi / spec.r_max), hi, 12))
+        assert laurent._grid_radii(GridSpec(12, 32, 0.1, 0.9), r_max) is radii
+        with pytest.raises(ValueError):
+            radii[0] = 0.0
+
 
 def grid_reference(f, spec, r_max=None):
     """f at r * e^{2 pi i k/A} with exact roots of unity, by 30-digit Horner,

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from wrightlens import (
     starlike_predicate,
 )
 
+from wrightlens import radii
 from param_grids import class_grid
 
 CP = ClassParams(0.0, 0.0, 2.0)
@@ -154,6 +156,12 @@ class TestSolveRadius:
         with pytest.raises(ParameterError):
             solve_radius(RadiusQuery(0.0, "starlike", np.array([1.0]), tol=1e-15))
 
+    @pytest.mark.parametrize("tol", [math.inf, 2.0, 0.5])
+    def test_tol_past_the_bracket_rejected(self, tol):
+        # tol >= 1 - 1e-9 would stop the loop before its first halving
+        with pytest.raises(ParameterError, match="finite and below 0.5"):
+            solve_radius(RadiusQuery(0.0, "starlike", np.array([1.0]), tol=tol))
+
     def test_huge_weights_do_not_break_bracketing(self):
         # the constraint overflows to inf near r=1; inf compares as > 1, so
         # bisection steers the bracket down and still lands on the root
@@ -263,6 +271,40 @@ def radius_queries(draw):
     return RadiusQuery(rho, kind, weights, tol, weight_model=model if with_model else None)
 
 
+# (kind, n) with m_n(0) a power of two: starlike m_n = n + 2, convex n(n + 2)
+_DYADIC_TERMS = (("starlike", 2), ("starlike", 6), ("starlike", 30), ("convex", 2))
+
+
+@st.composite
+def wide_radius_queries(draw):
+    tol = 10.0 ** draw(st.floats(-12.0, -3.0))
+    source = draw(st.sampled_from(("dyadic", "decaying", "geometric")))
+    if source == "dyadic":
+        # one term c r^e with c = 2^(p e) exactly: S(2^-p) = 1 exactly, and the
+        # root is a float a midpoint can land on
+        kind, n = draw(st.sampled_from(_DYADIC_TERMS))
+        p = draw(st.integers(1, 12))
+        m = n + 2 if kind == "starlike" else n * (n + 2)
+        weights = np.zeros(n)
+        weights[-1] = 2.0 ** (p * (n + 1)) / m
+        return RadiusQuery(0.0, kind, weights, tol)
+    n_max = draw(st.integers(1, 10_000))
+    kind = draw(st.sampled_from(("starlike", "convex")))
+    rho = draw(st.floats(0.0, 1.0, exclude_max=True))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    n = np.arange(1, n_max + 1, dtype=float)
+    if source == "decaying":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = scale * rng.uniform(0.0, 1.0, n_max) / n ** rng.uniform(0.0, 3.0)
+    else:
+        # growth like the class weights': near the root r ~ x many terms are
+        # comparable; the growth stops at 1e200 so that most weights stay finite
+        x = draw(st.floats(0.3, 0.999))
+        with np.errstate(over="ignore"):
+            weights = scale * x ** -np.minimum(n, 200.0 / -math.log10(x))
+    return RadiusQuery(rho, kind, weights, tol)
+
+
 class TestBisectionMatchesReference:
     """The solver's precomputed terms give the public S(r) bit for bit."""
 
@@ -281,6 +323,68 @@ class TestBisectionMatchesReference:
         # RadiusResult equality compares radius, bracket, residual,
         # truncation_used, unconstrained and steps exactly
         assert self._outcome(solve_radius, q) == self._outcome(_reference_solve, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_radius_queries())
+    def test_bit_identical_wide(self, q):
+        assert self._outcome(solve_radius, q) == self._outcome(_reference_solve, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(radius_queries())
+    def test_uncertified_window_evaluates_every_midpoint(self, q):
+        # with the window (0, inf) no comparison is decided without S, as in
+        # plain bisection: one evaluation per step, the check at the edge
+        # included
+        calls = []
+
+        def counted(c, e, r):
+            calls.append(r)
+            return sum_at(c, e, r)
+
+        sum_at = radii._sum_at
+        q = RadiusQuery(q.rho, q.kind, q.weights, q.tol)
+        with mock.patch.object(radii, "_window", lambda c, e: (0.0, math.inf)), \
+                mock.patch.object(radii, "_sum_at", counted):
+            outcome = self._outcome(solve_radius, q)
+        assert outcome == self._outcome(_reference_solve, q)
+        if isinstance(outcome, RadiusResult):
+            assert len(calls) == outcome.steps
+
+
+class TestCertifiedWindow:
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    def test_class_weight_query_evaluates_s_at_most_8_times(self, kind):
+        cp = ClassParams(0.6, 0.2, 2.0)
+        q = RadiusQuery(0.3, kind, operator_weights(cp, WrightParams(1.0, 1.0), 150))
+        calls = []
+        sum_at = radii._sum_at
+
+        def counted(c, e, r):
+            calls.append(r)
+            return sum_at(c, e, r)
+
+        with mock.patch.object(radii, "_sum_at", counted):
+            result = solve_radius(q)
+        assert len(calls) <= 8
+        assert result.steps >= 30
+        assert result == _reference_solve(q)
+
+    def test_window_brackets_the_root(self):
+        q = RadiusQuery(0.0, "starlike", operator_weights(CP, WP, 150))
+        c, e = radii._terms(q)
+        a, b = radii._window(c, e)
+        assert 0.0 < a < b < 1.0
+        assert b - a <= 3e-11 * b
+        assert constraint_sum(q, a) < 1.0 < constraint_sum(q, b)
+
+    def test_overflowing_sum_is_not_certified(self):
+        # every term is finite but their sum is not, so the underflow error
+        # bound fails and the loop falls back to evaluating every midpoint
+        q = RadiusQuery(0.0, "starlike", np.full(50, 3e306))
+        with np.errstate(over="ignore"):
+            c, e = radii._terms(q)
+            assert radii._window(c, e) == (0.0, math.inf)
+        assert solve_radius(q) == _reference_solve(q)
 
 
 class TestExtremalCurve:
