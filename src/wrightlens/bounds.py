@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -169,17 +171,26 @@ def operator_weights(cp: ClassParams, wp: WrightParams, n_max: int) -> np.ndarra
     values agree with the step-by-step recursion to rounding.  Entries past
     the double range are inf, without a warning; :class:`BoundSequence` and
     the radius solver name the first such index.
+
+    The result depends on (lam, L, n_max) only (wp divides out) and is
+    memoised on them, so the array is read-only and shared between calls.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
-    lam, big_l = cp.lam, cp.Lambda
+    return _weight_product(float(cp.lam), float(cp.Lambda), operator.index(n_max))
+
+
+@lru_cache(maxsize=64)
+def _weight_product(lam: float, big_l: float, n_max: int) -> np.ndarray:
     n = np.arange(1, n_max)
     steps = np.empty(n_max)
     steps[0] = big_l * (1.0 - 2.0 * lam) / (1.0 - lam)
     factor = ((n + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + n * lam) * big_l) / (n + 2)
     steps[1:] = factor / (1.0 - lam)
     with np.errstate(over="ignore"):
-        return np.multiply.accumulate(steps)
+        weights = np.multiply.accumulate(steps)
+    weights.setflags(write=False)
+    return weights
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 import warnings
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -189,11 +189,7 @@ def _radius_queries(args, kind: str):
     if args.alpha is None or args.beta is None:
         raise ParameterError("class-parameter weights need --alpha and --beta")
     cp = bounds_mod.ClassParams(args.theta, args.lam, args.gamma)
-    # The weights do not depend on rho: a curve builds the doubled vector once
-    # (each query copies what the model returns).
-    model = lru_cache(maxsize=None)(
-        lambda k: bounds_mod.operator_weights(cp, _wright_params(args), k)
-    )
+    model = partial(bounds_mod.operator_weights, cp, _wright_params(args))
     query = partial(
         radii_mod.RadiusQuery, kind=kind, weights=model(args.n_max), tol=args.tol,
         weight_model=model,

@@ -19,6 +19,10 @@ relative width 2e-11; two evaluations of S certify that the float S lies
 below 1 left of the window and above 1 right of it, which decides every
 midpoint outside it.  S is evaluated only at midpoints inside the window and
 for the residual at the stop test.
+
+With a weight model the query is solved at twice the truncation, and the
+solve at the given truncation runs only when two more evaluations of S cannot
+certify that its radius lies within the warning threshold of the doubled one.
 """
 
 from __future__ import annotations
@@ -168,9 +172,9 @@ def _newton_root(c: np.ndarray, e: np.ndarray) -> float:
     return r
 
 
-def _window(c: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """(a, b) such that every comparison _sum_at(mid) > 1 is false for
-    mid <= a and true for mid >= b; (0, inf) when that cannot be certified.
+def _separates(c: np.ndarray, e: np.ndarray, a: float, b: float) -> bool:
+    """True when every comparison _sum_at(mid) > 1 is certainly false for
+    mid <= a and true for mid >= b.
 
     _sum_at is within _KAPPA * max(S, 1) of the exact sum of its terms, with
     room to spare: every term is nonnegative, pow and the product add an ulp
@@ -182,13 +186,18 @@ def _window(c: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     1, at every mid <= a; _sum_at(b) >= 1 + 3 kappa keeps both above 1 at
     every mid >= b.
     """
-    if math.isfinite(float(np.add.reduce(c))):
-        r = _newton_root(c, e)
-        a, b = r * (1.0 - _WINDOW), r * (1.0 + _WINDOW)
-        if (0.0 < a < b < _EDGE and _sum_at(c, e, a) <= 1.0 - 3.0 * _KAPPA
-                and _sum_at(c, e, b) >= 1.0 + 3.0 * _KAPPA):
-            return a, b
-    return 0.0, math.inf
+    return (math.isfinite(float(np.add.reduce(c))) and 0.0 < a < b < _EDGE
+            and _sum_at(c, e, a) <= 1.0 - 3.0 * _KAPPA
+            and _sum_at(c, e, b) >= 1.0 + 3.0 * _KAPPA)
+
+
+def _window(c: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """(a, b) around the Newton root that :func:`_separates` certifies;
+    (0, inf) when that fails.
+    """
+    r = _newton_root(c, e)
+    a, b = r * (1.0 - _WINDOW), r * (1.0 + _WINDOW)
+    return (a, b) if _separates(c, e, a, b) else (0.0, math.inf)
 
 
 def constraint_sum(q: RadiusQuery, r: float) -> float:
@@ -200,44 +209,43 @@ def constraint_sum(q: RadiusQuery, r: float) -> float:
         return _sum_at(c, e, r)
 
 
-def _bisect(q: RadiusQuery) -> RadiusResult:
-    """Bisection for the root of S(r) = 1, deciding S(mid) > 1 from the
-    certified window where it can, so S is evaluated only inside it and for
-    the residual at the stop test; every midpoint, step and result is that
-    of evaluating S at each midpoint.
+def _bisect(c: np.ndarray, e: np.ndarray, tol: float) -> RadiusResult:
+    """Bisection for the root of S(r) = sum c * r**e = 1, deciding S(mid) > 1
+    from the certified window where it can, so S is evaluated only inside it
+    and for the residual at the stop test; every midpoint, step and result is
+    that of evaluating S at each midpoint.  Callers run it under
+    ``np.errstate(over="ignore")``.
     """
-    with np.errstate(over="ignore"):
-        c, e = _terms(q)
-        s_edge = _sum_at(c, e, _EDGE)
-        steps = 1
-        if s_edge <= 1.0:
-            return RadiusResult(_EDGE, (_EDGE, _EDGE), q.n_max, s_edge, True, steps)
-        a, b = _window(c, e)
-        lo, hi = 0.0, _EDGE
-        s_lo = 0.0
-        for _ in range(_MAX_BISECT):
-            if hi - lo <= q.tol:
-                if s_lo is None:
-                    s_lo = _sum_at(c, e, lo)
-                if abs(s_lo - 1.0) <= 10.0 * q.tol:
-                    break
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
+    s_edge = _sum_at(c, e, _EDGE)
+    steps = 1
+    if s_edge <= 1.0:
+        return RadiusResult(_EDGE, (_EDGE, _EDGE), len(c), s_edge, True, steps)
+    a, b = _window(c, e)
+    lo, hi = 0.0, _EDGE
+    s_lo = 0.0
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= tol:
+            if s_lo is None:
+                s_lo = _sum_at(c, e, lo)
+            if abs(s_lo - 1.0) <= 10.0 * tol:
                 break
-            steps += 1
-            if mid <= a:
-                lo, s_lo = mid, None
-            elif mid >= b:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        steps += 1
+        if mid <= a:
+            lo, s_lo = mid, None
+        elif mid >= b:
+            hi = mid
+        else:
+            s_mid = _sum_at(c, e, mid)
+            if s_mid > 1.0:
                 hi = mid
             else:
-                s_mid = _sum_at(c, e, mid)
-                if s_mid > 1.0:
-                    hi = mid
-                else:
-                    lo, s_lo = mid, s_mid
-        if s_lo is None:
-            s_lo = _sum_at(c, e, lo)
-    return RadiusResult(lo, (lo, hi), q.n_max, s_lo, False, steps)
+                lo, s_lo = mid, s_mid
+    if s_lo is None:
+        s_lo = _sum_at(c, e, lo)
+    return RadiusResult(lo, (lo, hi), len(c), s_lo, False, steps)
 
 
 def solve_radius(q: RadiusQuery) -> RadiusResult:
@@ -247,6 +255,12 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
     the two radii disagreeing by more than 10*tol raises a
     :class:`TruncationWarning` carrying both values, and the doubled
     (conservative) solution is returned.
+
+    The solve at n_max runs only when the warning could fire.  With r the
+    doubled radius, when :func:`_separates` certifies the n_max sum at
+    r - 8*tol and r + 8*tol, that bisection would decide S <= 1 at every
+    midpoint left of the interval and S > 1 at every one right of it, and so
+    stop within 9*tol of r.
     """
     if q.tol < _MIN_TOL:
         raise ParameterError(f"tol must be at least {_MIN_TOL}, got {q.tol!r}")
@@ -255,13 +269,20 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
         raise ParameterError(f"tol must be finite and below {_MAX_TOL}, got {q.tol!r}")
     if not np.any(q.weights > 0.0):
         raise ParameterError("at least one weight must be positive")
-    base = _bisect(q)
-    if q.weight_model is None:
-        return base
+    with np.errstate(over="ignore"):
+        # before the model is called: an overflowing term at n_max raises first
+        c, e = _terms(q)
+        if q.weight_model is None:
+            return _bisect(c, e, q.tol)
     doubled = RadiusQuery(
         q.rho, q.kind, np.asarray(q.weight_model(2 * q.n_max), dtype=float), q.tol
     )
-    refined = _bisect(doubled)
+    with np.errstate(over="ignore"):
+        refined = _bisect(*_terms(doubled), q.tol)
+        r, margin = refined.radius, 8.0 * q.tol
+        if _separates(c, e, r - margin, r + margin):
+            return refined
+        base = _bisect(c, e, q.tol)
     if abs(refined.radius - base.radius) > 10.0 * q.tol:
         warnings.warn(
             TruncationWarning(

@@ -19,6 +19,7 @@ from wrightlens import (
     schwarz_generate,
     series_identity_oracle,
 )
+from wrightlens import bounds
 from wrightlens.laurent import TaylorSeries
 
 from param_grids import full_grid
@@ -162,6 +163,43 @@ class TestOperatorWeights:
         cp = ClassParams(0.0, 0.0, 2.0)
         weights = operator_weights(cp, WrightParams(0.0, 1.0), 5)
         assert np.all(np.isfinite(weights))
+
+    def test_returns_read_only_array(self):
+        weights = operator_weights(CP, WP, 10)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    def test_repeated_call_does_not_recompute(self):
+        # wp divides out of the product, so it is not part of the key
+        bounds._weight_product.cache_clear()
+        first = operator_weights(CP, WP, 30)
+        again = operator_weights(CP, WrightParams(1.0, 1.0), 30)
+        info = bounds._weight_product.cache_info()
+        assert again is first
+        assert (info.hits, info.misses) == (1, 1)
+        assert operator_weights(CP, WP, 31)[:30].tolist() == first.tolist()
+        assert bounds._weight_product.cache_info().misses == 2
+
+    def test_matches_uncached_running_product(self):
+        def running_product(cp, n_max):
+            lam, big_l = cp.lam, cp.Lambda
+            n = np.arange(1, n_max)
+            steps = np.empty(n_max)
+            steps[0] = big_l * (1.0 - 2.0 * lam) / (1.0 - lam)
+            factor = ((n + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + n * lam) * big_l) / (n + 2)
+            steps[1:] = factor / (1.0 - lam)
+            with np.errstate(over="ignore"):
+                return np.multiply.accumulate(steps)
+
+        bounds._weight_product.cache_clear()
+        for cp, wp in full_grid():
+            for n_max in (1, 2, 50, 600):
+                # twice: the memoised copy must equal a fresh computation
+                for _ in range(2):
+                    np.testing.assert_array_equal(
+                        operator_weights(cp, wp, n_max), running_product(cp, n_max)
+                    )
 
 
 class TestCoefficientBoundCheck:

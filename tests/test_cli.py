@@ -160,6 +160,23 @@ class TestRadiusCommand:
         assert code == 4
         assert "truncation" in err or "moved" in err
 
+    def test_strict_fallback_reports_the_base_radius(self, capsys):
+        # the base solve runs only when the warning can fire; its radius is
+        # part of the message
+        code, out, err = run(
+            capsys, "radius", "star", "--rho", "0", "--theta", "0", "--lam", "0.45",
+            "--gamma", "5", "--alpha", "0", "--beta", "1", "--n-max", "10", "--strict",
+        )
+        assert code == 4
+        assert data_rows(out) == [
+            "0.2816940491996084,0.2816940491996084,0.2816940496652697,20"
+        ]
+        assert err == (
+            "warning: radius moved from 0.3078325997753696 (n_max=10) to "
+            "0.2816940491996084 (n_max=20) when the truncation doubled; "
+            "increase n_max\n"
+        )
+
     def test_strict_silent_when_converged(self, capsys):
         code, out, _ = run(
             capsys, "radius", "star", "--rho", "0", "--theta", "0", "--lam", "0",
@@ -226,16 +243,20 @@ class TestRadiusCommand:
         assert "tol must be finite and below 0.5" in err
 
     def test_curve_builds_class_weights_once_per_truncation(self, capsys, monkeypatch):
+        from functools import lru_cache
+
         import wrightlens
 
+        # a fresh memo over the uncached product, so earlier tests' entries
+        # do not hide the builds
         sizes = []
-        weights = wrightlens.bounds.operator_weights
+        product = wrightlens.bounds._weight_product.__wrapped__
 
-        def counted(cp, wp, k):
+        def counted(lam, big_l, k):
             sizes.append(k)
-            return weights(cp, wp, k)
+            return product(lam, big_l, k)
 
-        monkeypatch.setattr(wrightlens.bounds, "operator_weights", counted)
+        monkeypatch.setattr(wrightlens.bounds, "_weight_product", lru_cache(maxsize=64)(counted))
         code, out, _ = run(
             capsys, "radius", "star", "--curve", "--steps", "5", "--theta", "0",
             "--lam", "0", "--gamma", "2", "--alpha", "0", "--beta", "1", "--n-max", "20",

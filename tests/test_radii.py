@@ -188,6 +188,29 @@ class TestSolveRadius:
             result = solve_radius(q)
         assert result.truncation_used == 80
 
+    @staticmethod
+    def _bisected_sizes(q):
+        sizes = []
+        bisect = radii._bisect
+
+        def counted(c, e, tol):
+            sizes.append(len(c))
+            return bisect(c, e, tol)
+
+        with mock.patch.object(radii, "_bisect", counted):
+            solve_radius(q)
+        return sizes
+
+    def test_converged_model_bisects_once(self):
+        model = lambda k: operator_weights(CP, WP, k)
+        q = RadiusQuery(0.3, "convex", model(40), 1e-9, weight_model=model)
+        assert self._bisected_sizes(q) == [80]
+
+    def test_unconverged_model_bisects_twice(self):
+        q = RadiusQuery(0.0, "starlike", np.ones(2), 1e-9, weight_model=np.ones)
+        with pytest.warns(TruncationWarning):
+            assert self._bisected_sizes(q) == [4, 2]
+
     def test_overflowing_weight_model_names_its_index(self):
         # doubling the truncation runs these class weights past the double
         # range; the first overflowing term is m_574 * w_574
@@ -234,11 +257,22 @@ def _reference_bisect(q: RadiusQuery) -> RadiusResult:
 
 
 def _reference_solve(q: RadiusQuery) -> RadiusResult:
+    """Always solves at n_max, then at twice it with a model, and warns when
+    the two radii are more than 10*tol apart."""
+    base = _reference_bisect(q)
     if q.weight_model is None:
-        return _reference_bisect(q)
-    return _reference_bisect(
-        RadiusQuery(q.rho, q.kind, q.weight_model(2 * q.n_max), q.tol)
-    )
+        return base
+    doubled = RadiusQuery(q.rho, q.kind, q.weight_model(2 * q.n_max), q.tol)
+    refined = _reference_bisect(doubled)
+    if abs(refined.radius - base.radius) > 10.0 * q.tol:
+        warnings.warn(
+            TruncationWarning(
+                f"radius moved from {base.radius!r} (n_max={q.n_max}) to "
+                f"{refined.radius!r} (n_max={doubled.n_max}) when the "
+                "truncation doubled; increase n_max"
+            )
+        )
+    return refined
 
 
 @st.composite
@@ -269,6 +303,36 @@ def radius_queries(draw):
     weights = model(n_max)
     with_model = draw(st.booleans())
     return RadiusQuery(rho, kind, weights, tol, weight_model=model if with_model else None)
+
+
+@st.composite
+def modelled_queries(draw):
+    """Queries with a weight model, converged or not.  "shrinking" does not
+    extend its own vectors: its weights halve when the truncation doubles,
+    so the doubled radius can lie above the one at n_max as well as below.
+    """
+    n_max = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("starlike", "convex")))
+    rho = draw(st.floats(0.0, 1.0, exclude_max=True))
+    tol = 10.0 ** draw(st.floats(-12.0, -3.0))
+    source = draw(st.sampled_from(("ones", "class", "sparse", "shrinking")))
+    if source == "ones":
+        model = np.ones
+    elif source == "class":
+        cp = draw(st.sampled_from(CLASS_GRID))
+        model = lambda k: operator_weights(cp, WP, k)
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+
+        def model(k):
+            draws = np.random.default_rng(seed).uniform(0.0, 1.0, k)
+            if source == "shrinking":
+                return draws * (n_max / k)
+            keep = np.random.default_rng(seed + 1).random(k) < 0.1
+            keep[min(k, n_max) - 1] = True
+            return np.where(keep, draws, 0.0)
+
+    return RadiusQuery(rho, kind, model(n_max), tol, weight_model=model)
 
 
 # (kind, n) with m_n(0) a power of two: starlike m_n = n + 2, convex n(n + 2)
@@ -316,6 +380,24 @@ class TestBisectionMatchesReference:
                 return solve(q)
         except OverflowError as exc:
             return str(exc)
+
+    @staticmethod
+    def _warned_outcome(solve, q):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = solve(q)
+            except OverflowError as exc:
+                result = str(exc)
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    @settings(max_examples=300, deadline=None)
+    @given(modelled_queries())
+    def test_same_truncation_warnings(self, q):
+        # skipping the solve at n_max must never drop, add or change a warning
+        assert self._warned_outcome(solve_radius, q) == self._warned_outcome(
+            _reference_solve, q
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(radius_queries())
