@@ -24,7 +24,6 @@ from .errors import (
     CoefficientFileError,
     EvalDomainError,
     ParameterError,
-    SeriesDivisionError,
     TruncationWarning,
 )
 from .laurent import (
@@ -136,8 +135,7 @@ def cmd_wright(args) -> int:
 
 
 def cmd_phi_table(args) -> int:
-    params = WrightParams.for_indices(args.alpha, args.beta, args.n_max)
-    values = phi_values(params, args.n_max)
+    values = phi_values(_wright_params(args), args.n_max)
     print(
         f"# params: alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} "
         f"n_max={args.n_max}"
@@ -250,7 +248,9 @@ def cmd_member(args) -> int:
     )
 
     check = bounds_mod.coefficient_bound_check(f, cp, wp)
-    report = member_mod.membership_check(f, cp, wp, grid, tol=args.tol)
+    # a vanishing denominator raises here, before any output
+    pts, tau = member_mod._grid_tau(f, cp, wp, grid)
+    report = member_mod._grid_report(pts, tau, grid, args.tol)
     suff = member_mod.sufficiency_predicate(f, cp, wp, grid)
     verdict = report.verdict
     if not check.all_satisfied:
@@ -268,7 +268,6 @@ def cmd_member(args) -> int:
         f"# membership: grid_verdict={report.verdict} "
         f"min_re_tau={_fmt(report.min_re_tau)} "
         f"argmin_z={report.argmin_z!r}"
-        + (f" diagnostic={report.diagnostic}" if report.diagnostic else "")
     )
     if args.scan:
         scan = member_mod.convolution_scan(
@@ -285,18 +284,12 @@ def cmd_member(args) -> int:
     for line in lines:
         print(line)
 
-    try:
-        pts, tau = member_mod._grid_tau(f, cp, wp, grid)
-        re_tau = np.real(tau)
-    except SeriesDivisionError:
-        re_tau = None
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write(f"# params: {param_line}\n")
         out.write("z_re,z_im,re_tau\n")
-        if re_tau is not None:
-            for z, value in zip(pts, re_tau):
-                out.write(f"{float(z.real)!r},{float(z.imag)!r},{float(value)!r}\n")
+        for z, value in zip(pts, np.real(tau)):
+            out.write(f"{float(z.real)!r},{float(z.imag)!r},{float(value)!r}\n")
         out.write(
             f"# summary: verdict={verdict} min_re_tau={_fmt(report.min_re_tau)}\n"
         )

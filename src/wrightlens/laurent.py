@@ -34,7 +34,6 @@ __all__ = [
     "z_derivative",
     "lambda_mix",
     "evaluate",
-    "evaluate_ratio",
     "polar_grid",
     "read_coefficient_csv",
     "write_coefficient_csv",
@@ -166,15 +165,6 @@ def evaluate(f: LaurentSeries, z):
     return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 
-def evaluate_ratio(num: LaurentSeries, den: LaurentSeries, z):
-    """num(z) / den(z) for a scalar or an ndarray of points, as :func:`evaluate`.
-
-    A denominator that vanishes at a point raises
-    :class:`SeriesDivisionError` carrying the first such point.
-    """
-    return _divide(evaluate(num, z), evaluate(den, z), z)
-
-
 def _divide(top, bottom, z):
     """top / bottom, or :class:`SeriesDivisionError` at the first z where
     ``bottom`` is exactly zero."""
@@ -261,8 +251,8 @@ def _grid_values(
 def _grid_ratio(
     num: LaurentSeries, den: LaurentSeries, spec: GridSpec, r_max: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(polar_grid(spec, r_max), num / den there)`` with
-    :func:`evaluate_ratio`'s zero guard."""
+    """``(polar_grid(spec, r_max), num / den there)`` with :func:`_divide`'s
+    zero guard."""
     pts, (top, bottom) = _grid_values((num, den), spec, r_max)
     return pts, _divide(top, bottom, pts)
 

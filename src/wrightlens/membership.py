@@ -35,11 +35,13 @@ from .laurent import (
     GridSpec,
     LaurentSeries,
     TaylorSeries,
+    _as_coeff_array,
+    _divide,
     _first_tied,
     _grid_ratio,
     _grid_values,
     apply_operator,
-    evaluate_ratio,
+    evaluate,
     hadamard,
     lambda_mix,
     polar_grid,
@@ -80,20 +82,14 @@ class SchwarzFunction:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        if arr.ndim != 1 or arr.size < 1:
+        arr = _as_coeff_array(self.coeffs)
+        if arr.size < 1:
             raise ParameterError("Schwarz coefficients must be a non-empty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("Schwarz coefficients must be finite")
         if float(np.sum(np.abs(arr))) >= 1.0:
             raise ParameterError(
                 "sum |c_k| must stay strictly below 1 to keep |w| < 1, got "
                 f"{float(np.sum(np.abs(arr)))!r}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
@@ -104,21 +100,10 @@ class SchwarzFunction:
         arr[power - 1] = c
         return cls(arr)
 
-    @property
-    def mass(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
-
     def __call__(self, z):
         z_arr = np.asarray(z, dtype=complex)
         out = z_arr * np.polyval(self.coeffs[::-1], z_arr)
         return complex(out) if z_arr.ndim == 0 else out
-
-    def taylor(self, n_max: int) -> np.ndarray:
-        """Coefficients w_0 .. w_n_max (w_0 = 0) padded or truncated."""
-        out = np.zeros(n_max + 1, dtype=complex)
-        m = min(len(self.coeffs), n_max)
-        out[1 : m + 1] = self.coeffs[:m]
-        return out
 
 
 def _tau_constants(cp: ClassParams) -> tuple[complex, float, float]:
@@ -150,15 +135,16 @@ def tau_transform(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
     image; a vanishing mix denominator raises :class:`SeriesDivisionError`
     carrying the offending point.
     """
-    return _tau_of_ratio(cp, evaluate_ratio(*_ratio_parts(f, cp, wp), z))
+    num, den = _ratio_parts(f, cp, wp)
+    return _tau_of_ratio(cp, _divide(evaluate(num, z), evaluate(den, z), z))
 
 
 def _grid_tau(
     f: LaurentSeries, cp: ClassParams, wp: WrightParams, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(polar_grid(grid), tau there)``, evaluated ring by ring (see
-    ``laurent._grid_values``).  :func:`membership_check` and the CLI's grid
-    CSV both read it, so they report the same numbers."""
+    ``laurent._grid_values``).  The CLI's ``member`` builds both its verdict
+    (through :func:`_grid_report`) and its grid CSV from one call."""
     pts, ratio = _grid_ratio(*_ratio_parts(f, cp, wp), grid)
     return pts, _tau_of_ratio(cp, ratio)
 
@@ -186,14 +172,28 @@ def membership_check(
     ``member`` needs the minimum above +tol, ``not_member`` below -tol;
     anything inside the band -- or a division failure -- is inconclusive.
     The reported point is the first grid point tied with the minimum, as in
-    :func:`convolution_scan`.
+    :func:`convolution_scan`.  tol must be finite and nonnegative.
     """
     try:
         pts, tau = _grid_tau(f, cp, wp, grid)
     except SeriesDivisionError as exc:
+        _check_tol(tol)
         return MembershipReport(
             math.nan, exc.at, grid, "inconclusive", diagnostic=str(exc)
         )
+    return _grid_report(pts, tau, grid, tol)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _grid_report(
+    pts: np.ndarray, tau: np.ndarray, grid: GridSpec, tol: float
+) -> MembershipReport:
+    """The :func:`membership_check` verdict on tau sampled at ``pts``."""
+    _check_tol(tol)
     re = np.real(tau)
     lowest = float(re.min())
     if lowest > tol:
@@ -301,7 +301,6 @@ def schwarz_generate(
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
-    wp.check_indices(n_max)
     phi = phi_values(wp, n_max)
     zero = np.flatnonzero(phi == 0.0)
     n_stop = int(zero[0]) + 1 if zero.size else n_max
@@ -417,7 +416,7 @@ def convolution_scan(
 
     eta runs over the eta_count-th roots of unity with eta = 1 dropped, so
     counts that divide each other give nested grids.  A minimum below tol
-    certifies f is outside the class.
+    certifies f is outside the class; tol must be finite and nonnegative.
 
     The kernel is affine in eta, K(eta) = K0 + eta * K1, so f * K(eta) =
     X + eta * Y with X = f * K0 and Y = f * K1.  X and Y are evaluated on
@@ -430,6 +429,7 @@ def convolution_scan(
     """
     if eta_count < 8:
         raise ParameterError(f"eta_count must be >= 8, got {eta_count!r}")
+    _check_tol(tol)
     k0, k1 = _kernel_parts(cp, wp, max(f.truncation, 1))
     pts, (x, y) = _grid_values((hadamard(f, k0), hadamard(f, k1)), grid)
     scans = []

@@ -68,14 +68,24 @@ def _multipliers(kind: str, rho: float, n: np.ndarray) -> np.ndarray:
     return n * m if kind == "convex" else m
 
 
+def _checked_weights(weights) -> np.ndarray:
+    arr = np.asarray(weights, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ParameterError("weights must be a non-empty vector")
+    if not np.all(arr >= 0.0):
+        raise ParameterError("weights must be nonnegative numbers")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class RadiusQuery:
     """One radius problem: order rho, property kind, and the weight vector.
 
     ``weights[n-1]`` multiplies r^{n+1}.  When ``weight_model`` is given it
     must return the first k weights for any k; the solver uses it to re-solve
-    at twice the truncation and flag unconverged tails.  An infinite weight
-    (one past the double range) is reported by the solver as
+    at twice the truncation and flag unconverged tails; its weights pass the
+    same checks as ``weights``.  ``tol`` must lie in [1e-12, 0.5).  An
+    infinite weight (one past the double range) is reported by the solver as
     :class:`OverflowError` naming its index.
     """
 
@@ -94,12 +104,14 @@ class RadiusQuery:
             raise ParameterError(f"rho must lie in [0, 1), got {self.rho!r}")
         if not self.tol > 0.0:
             raise ParameterError(f"tol must be positive, got {self.tol!r}")
-        arr = np.asarray(self.weights, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ParameterError("weights must be a non-empty vector")
-        if not np.all(arr >= 0.0):
-            raise ParameterError("weights must be nonnegative numbers")
-        arr = arr.copy()
+        if self.tol < _MIN_TOL:
+            raise ParameterError(f"tol must be at least {_MIN_TOL}, got {self.tol!r}")
+        if not self.tol < _MAX_TOL:
+            # with tol >= _EDGE the bisection would stop before its first halving
+            raise ParameterError(
+                f"tol must be finite and below {_MAX_TOL}, got {self.tol!r}"
+            )
+        arr = _checked_weights(self.weights).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
 
@@ -126,7 +138,7 @@ class RadiusResult:
     steps: int = 0
 
 
-def _terms(q: RadiusQuery) -> tuple[np.ndarray, np.ndarray]:
+def _terms(kind: str, rho: float, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, e) with S(r) = sum c * r**e: c_n = m_n(rho) * v_n and e_n = n + 1.
 
     Callers run this and :func:`_sum_at` under ``np.errstate(over="ignore")``.
@@ -135,8 +147,8 @@ def _terms(q: RadiusQuery) -> tuple[np.ndarray, np.ndarray]:
     the bisection would read that as S <= 1.  The sum of finite terms
     overflowing to inf is a correct S > 1.
     """
-    n = np.arange(1, q.n_max + 1, dtype=float)
-    c = _multipliers(q.kind, q.rho, n) * q.weights
+    n = np.arange(1, len(weights) + 1, dtype=float)
+    c = _multipliers(kind, rho, n) * weights
     if not np.isfinite(c).all():
         bad = int(np.flatnonzero(~np.isfinite(c))[0]) + 1
         raise OverflowError(
@@ -205,8 +217,7 @@ def constraint_sum(q: RadiusQuery, r: float) -> float:
     if not (0.0 <= r < 1.0):
         raise ParameterError(f"r must lie in [0, 1), got {r!r}")
     with np.errstate(over="ignore"):
-        c, e = _terms(q)
-        return _sum_at(c, e, r)
+        return _sum_at(*_terms(q.kind, q.rho, q.weights), r)
 
 
 def _bisect(c: np.ndarray, e: np.ndarray, tol: float) -> RadiusResult:
@@ -262,23 +273,16 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
     midpoint left of the interval and S > 1 at every one right of it, and so
     stop within 9*tol of r.
     """
-    if q.tol < _MIN_TOL:
-        raise ParameterError(f"tol must be at least {_MIN_TOL}, got {q.tol!r}")
-    if not q.tol < _MAX_TOL:
-        # with tol >= _EDGE the loop would stop before its first halving
-        raise ParameterError(f"tol must be finite and below {_MAX_TOL}, got {q.tol!r}")
     if not np.any(q.weights > 0.0):
         raise ParameterError("at least one weight must be positive")
     with np.errstate(over="ignore"):
         # before the model is called: an overflowing term at n_max raises first
-        c, e = _terms(q)
+        c, e = _terms(q.kind, q.rho, q.weights)
         if q.weight_model is None:
             return _bisect(c, e, q.tol)
-    doubled = RadiusQuery(
-        q.rho, q.kind, np.asarray(q.weight_model(2 * q.n_max), dtype=float), q.tol
-    )
+    doubled = _checked_weights(q.weight_model(2 * q.n_max))
     with np.errstate(over="ignore"):
-        refined = _bisect(*_terms(doubled), q.tol)
+        refined = _bisect(*_terms(q.kind, q.rho, doubled), q.tol)
         r, margin = refined.radius, 8.0 * q.tol
         if _separates(c, e, r - margin, r + margin):
             return refined
@@ -287,7 +291,7 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
         warnings.warn(
             TruncationWarning(
                 f"radius moved from {base.radius!r} (n_max={q.n_max}) to "
-                f"{refined.radius!r} (n_max={doubled.n_max}) when the "
+                f"{refined.radius!r} (n_max={len(doubled)}) when the "
                 "truncation doubled; increase n_max"
             ),
             stacklevel=2,

@@ -127,9 +127,8 @@ class WrightParams:
     """Kernel parameters (alpha, beta) with alpha > -1 and beta > 0.
 
     Gamma arguments alpha*n + beta may still hit poles for particular
-    indices; :meth:`check_indices` validates every index a computation is
-    about to use, and the per-index accessors raise :class:`PoleError`
-    themselves.
+    indices; :func:`phi`, :func:`phi_values` and :func:`wright_eval` raise
+    :class:`PoleError` when they reach one.
     """
 
     alpha: float
@@ -142,19 +141,6 @@ class WrightParams:
             raise ParameterError(f"alpha must exceed -1, got {self.alpha!r}")
         if self.beta <= 0.0:
             raise ParameterError(f"beta must be positive, got {self.beta!r}")
-
-    @classmethod
-    def for_indices(cls, alpha: float, beta: float, n_max: int) -> "WrightParams":
-        """Construct and reject pairs whose first n_max indices hit a pole."""
-        params = cls(alpha, beta)
-        params.check_indices(n_max)
-        return params
-
-    def check_indices(self, n_max: int) -> None:
-        n = np.arange(1.0, n_max + 1)
-        bad = n[_near_pole(self.alpha * n + self.beta)]
-        if bad.size:
-            raise _pole_error(self, bad)
 
 
 def _phi(params: WrightParams, n: np.ndarray) -> np.ndarray:

@@ -72,6 +72,17 @@ class TestPhiTable:
         values = [float(r.split(",")[1]) for r in data_rows(out)]
         assert values == pytest.approx([1.0, 0.5, 1 / 6, 1 / 24], rel=1e-12)
 
+    def test_pole_index_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "phi-table", "--alpha", "-0.5", "--beta", "0.5", "--n-max", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: alpha*n + beta hits a gamma pole (tolerance 1e-12) at "
+            "n=[1, 3, 5] for alpha=-0.5, beta=0.5\n"
+        )
+
 
 class TestBoundsCommand:
     def test_hand_table(self, capsys):
@@ -356,6 +367,39 @@ class TestMemberCommand:
         assert "line 3" in err
         assert "finite" in err
 
+    @pytest.mark.parametrize("scan", [[], ["--scan"]])
+    def test_vanishing_denominator_exits_3_before_output(self, capsys, tmp_path, scan):
+        # phi_1 a_1 = -4 puts a zero of the lambda mix 1/z - 4z at z = 0.5,
+        # the outermost grid ring
+        coeffs = tmp_path / "zero.csv"
+        coeffs.write_text("n,re,im\n1,-4,0\n")
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(
+            capsys, "member", *self.CLASS_ARGS, "--coeffs", str(coeffs),
+            "--max-radius", "0.5", *scan, "--out", str(out_path),
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: denominator vanishes at z=(0.5+0j)\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("scan", [[], ["--scan"]])
+    @pytest.mark.parametrize("tol", ["-10", "nan", "inf", "-inf"])
+    def test_invalid_tol_exits_2_before_output(self, capsys, tmp_path, tol, scan):
+        # min Re tau is -5.40 here; a tol of -10 once certified it a member
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("n,re,im\n1,0.75,0\n")
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(
+            capsys, "member", "--theta", "0", "--lam", "0.2", "--gamma", "2",
+            "--alpha", "0", "--beta", "1", "--coeffs", str(coeffs), f"--tol={tol}",
+            *scan, "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tol must be finite and nonnegative, got {float(tol)!r}\n"
+        assert not out_path.exists()
+
 
 class TestGenerateCommand:
     CLASS_ARGS = ["--theta", "0", "--lam", "0", "--gamma", "2",
@@ -374,6 +418,18 @@ class TestGenerateCommand:
     def test_boundary_mass_exits_2(self, capsys):
         code, _, _ = run(capsys, "generate", *self.CLASS_ARGS, "--schwarz", "1.0")
         assert code == 2
+
+    def test_pole_index_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "generate", *self.CLASS_ARGS[:6], "--alpha", "-0.5", "--beta", "6",
+            "--schwarz", "0,0.4", "--n-max", "30",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: alpha*n + beta hits a gamma pole (tolerance 1e-12) at "
+            "n=[12, 14, 16, 18, 20, 22, 24, 26, 28, 30] for alpha=-0.5, beta=6.0\n"
+        )
 
     def test_near_extremal_first_coefficient(self, capsys, tmp_path):
         out_path = tmp_path / "coeffs.csv"

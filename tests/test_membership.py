@@ -63,10 +63,6 @@ class TestSchwarzFunction:
         w = SchwarzFunction([0.0])
         assert w(0.7) == 0.0
 
-    def test_taylor_padding(self):
-        w = SchwarzFunction([0.1, 0.2])
-        assert w.taylor(4).tolist() == [0j, 0.1 + 0j, 0.2 + 0j, 0j, 0j]
-
 
 class TestTauTransform:
     def test_bare_pole_gives_one(self):
@@ -131,6 +127,16 @@ class TestMembershipCheck:
         assert baseline.verdict == "member"
         wide = membership_check(f, CP, WP, tol=2 * baseline.min_re_tau)
         assert wide.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("tol", [-10.0, -math.inf, math.inf, math.nan])
+    def test_invalid_tol_rejected(self, tol):
+        # min Re tau is about -5.40: a tol of -10 once made this a member
+        f = LaurentSeries(1.0, [0.75])
+        cp = ClassParams(0.0, 0.2, 2.0)
+        with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+            membership_check(f, cp, WP, tol=tol)
+        with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+            convolution_scan(f, cp, WP, tol=tol)
 
     @pytest.mark.parametrize(
         "cp,wp,grid",
@@ -424,6 +430,11 @@ class TestZeroDenominatorGuard:
         assert report.argmin_z == 0.5
         assert math.isnan(report.min_re_tau)
         assert "vanishes" in report.diagnostic
+
+    def test_membership_check_rejects_invalid_tol(self, case):
+        f, wp = case
+        with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+            membership_check(f, CP, wp, self.GRID, tol=-1.0)
 
     def test_starlike_predicate(self, case):
         f, wp = case

@@ -156,6 +156,10 @@ class TestSolveRadius:
         with pytest.raises(ParameterError):
             solve_radius(RadiusQuery(0.0, "starlike", np.array([1.0]), tol=1e-15))
 
+    def test_tiny_tol_rejected_by_single_weight_query(self):
+        with pytest.raises(ParameterError, match="tol must be at least 1e-12"):
+            solve_radius(single_weight_query("starlike", 0.0, 1, tol=1e-15))
+
     @pytest.mark.parametrize("tol", [math.inf, 2.0, 0.5])
     def test_tol_past_the_bracket_rejected(self, tol):
         # tol >= 1 - 1e-9 would stop the loop before its first halving
@@ -210,6 +214,21 @@ class TestSolveRadius:
         q = RadiusQuery(0.0, "starlike", np.ones(2), 1e-9, weight_model=np.ones)
         with pytest.warns(TruncationWarning):
             assert self._bisected_sizes(q) == [4, 2]
+
+    @pytest.mark.parametrize(
+        "doubled,message",
+        [
+            (lambda k: np.r_[np.ones(k - 1), -1.0], "weights must be nonnegative numbers"),
+            (lambda k: np.r_[np.ones(k - 1), math.nan], "weights must be nonnegative numbers"),
+            (lambda k: np.ones((k, 2)), "weights must be a non-empty vector"),
+            (lambda k: np.zeros(0), "weights must be a non-empty vector"),
+        ],
+    )
+    def test_invalid_model_weights_rejected(self, doubled, message):
+        # the model is only asked for the doubled truncation
+        q = RadiusQuery(0.0, "starlike", np.ones(2), weight_model=doubled)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            solve_radius(q)
 
     def test_overflowing_weight_model_names_its_index(self):
         # doubling the truncation runs these class weights past the double
@@ -453,7 +472,7 @@ class TestCertifiedWindow:
 
     def test_window_brackets_the_root(self):
         q = RadiusQuery(0.0, "starlike", operator_weights(CP, WP, 150))
-        c, e = radii._terms(q)
+        c, e = radii._terms(q.kind, q.rho, q.weights)
         a, b = radii._window(c, e)
         assert 0.0 < a < b < 1.0
         assert b - a <= 3e-11 * b
@@ -464,7 +483,7 @@ class TestCertifiedWindow:
         # bound fails and the loop falls back to evaluating every midpoint
         q = RadiusQuery(0.0, "starlike", np.full(50, 3e306))
         with np.errstate(over="ignore"):
-            c, e = radii._terms(q)
+            c, e = radii._terms(q.kind, q.rho, q.weights)
             assert radii._window(c, e) == (0.0, math.inf)
         assert solve_radius(q) == _reference_solve(q)
 

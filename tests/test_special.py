@@ -100,8 +100,8 @@ class TestWrightParams:
     def test_pole_index_rejection(self):
         # alpha*n + beta = 0 at n = 1
         with pytest.raises(PoleError):
-            WrightParams.for_indices(-0.5, 0.5, 5)
-        WrightParams.for_indices(-0.5, 0.75, 5)  # clean
+            phi_values(WrightParams(-0.5, 0.5), 5)
+        phi_values(WrightParams(-0.5, 0.75), 5)  # clean
 
 
 class TestPhi:
