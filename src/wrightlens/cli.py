@@ -3,8 +3,9 @@
 All tabular output is CSV with a leading ``# params:`` comment echoing the
 full configuration, so identical flags produce byte-identical output.
 
-Exit codes: 0 success, 2 parameter error, 3 numerical failure, 4 truncation
-warning under --strict, 5 malformed input file.
+Exit codes: 0 success, 1 stdout closed before the output was complete,
+2 parameter error, 3 numerical failure, 4 truncation warning under --strict,
+5 malformed input file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .laurent import (
 from .special import WrightParams, phi_values, wright_eval
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_PARAMETER = 2
 EXIT_NUMERICAL = 3
 EXIT_TRUNCATION = 4
@@ -50,6 +52,7 @@ _SIZE_LIMITS = {
     "grid_radii": ("--grid-radii", 1_024),
     "grid_angles": ("--grid-angles", 4_096),
     "random": ("--random", 10_000),
+    "extremal_n": ("--extremal-n", 10_000),
 }
 
 
@@ -62,9 +65,15 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_schwarz(text: str) -> member_mod.SchwarzFunction:
+    """A Schwarz function of the class: its linear coefficient c1 must be 0."""
     coeffs = [parse_complex(tok) for tok in text.split(",") if tok.strip()]
     if not coeffs:
         raise ParameterError("--schwarz needs at least one coefficient")
+    if coeffs[0] != 0:
+        raise ParameterError(
+            "--schwarz must start with c1 = 0: the class is parametrised by "
+            f"Schwarz functions with w'(0) = 0, got c1={coeffs[0]!r}"
+        )
     return member_mod.SchwarzFunction(np.array(coeffs, dtype=complex))
 
 
@@ -345,7 +354,10 @@ def cmd_verify_identities(args) -> int:
             degree = int(rng.integers(2, 4))
             raw = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
             raw *= rng.uniform(0.05, 0.4) / np.sum(np.abs(raw))
-            functions.append((f"random_{i}", member_mod.SchwarzFunction(raw)))
+            # from z^2 up: w'(0) = 0, as for every Schwarz function of the class
+            functions.append(
+                (f"random_{i}", member_mod.SchwarzFunction(np.r_[0j, raw]))
+            )
     print(
         f"# params: theta={_fmt(args.theta)} lam={_fmt(args.lam)} "
         f"gamma={_fmt(args.gamma)} alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} "
@@ -431,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_wright_args(p)
     p.add_argument(
         "--schwarz", required=True,
-        help="comma-separated coefficients c1,c2,... with sum|c_k| < 1",
+        help="comma-separated coefficients c1,c2,... with c1 = 0 and sum|c_k| < 1",
     )
     p.add_argument("--n-max", type=int, default=50)
     p.add_argument("--out", default=None, help="write the coefficient CSV here")
@@ -451,9 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         _check_size_limits(args)
         return args.func(args)
@@ -466,6 +476,21 @@ def main(argv=None) -> int:
     except (ArithmeticError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        # a reader that went away (``| head``) surfaces here, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python docs' recipe: send what is still buffered to devnull so
+        # that the flush at interpreter exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

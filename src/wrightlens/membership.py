@@ -15,10 +15,12 @@ membership, and the sufficiency threshold test.
 One structural point drives several APIs here: expanding the defining
 relation in powers of z forces the z^1 coefficient of tau to vanish, so only
 Schwarz functions with w'(0) = 0 can be reproduced exactly by a series with
-no constant term.  The generator still accepts a linear term -- it solves
-the coefficient relations from power z^1 upward, which is what the extremal
-first-coefficient construction needs -- but round trips through tau are only
-exact on the w'(0) = 0 family.
+no constant term.  The class is therefore parametrised by the Schwarz
+functions with w'(0) = 0, and the CLI's ``generate`` and
+``verify-identities`` accept only those.  :func:`schwarz_generate` itself
+still accepts a linear term and solves the coefficient relations from power
+z^1 upward, but its result is then not a member, and round trips through tau
+are only exact on the w'(0) = 0 family.
 """
 
 from __future__ import annotations

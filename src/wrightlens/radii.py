@@ -13,12 +13,13 @@ whole punctured disk or the unique root of S(r) = 1; the solver bisects for
 that root and returns the conservative lower bracket end.
 
 The bisection takes the same midpoints, steps and result as one that
-evaluates S at every midpoint, but evaluates it about four times per query.
-A few Newton steps on log S against log r put the root in a window of
-relative width 2e-11; two evaluations of S certify that the float S lies
-below 1 left of the window and above 1 right of it, which decides every
-midpoint outside it.  S is evaluated only at midpoints inside the window and
-for the residual at the stop test.
+evaluates S at the edge and at every midpoint, but evaluates it about three
+times per query.  Halley steps on log S against log r (about 3.5 for class
+weights, 1 for a single term) put the root in a window of relative width
+2e-11; two evaluations of S certify that the float S lies below 1 left of the
+window and above 1 right of it, which decides every midpoint outside it and
+the check at the edge.  S is evaluated only at midpoints inside the window and
+for the residual at the stop test, and at the edge when the window fails.
 
 With a weight model the query is solved at twice the truncation, and the
 solve at the given truncation runs only when two more evaluations of S cannot
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -55,12 +57,14 @@ _EDGE = 1.0 - 1e-9
 _MIN_TOL = 1e-12
 _MAX_TOL = 0.5
 _MAX_BISECT = 400
-# Relative error bound of _sum_at, half-width of the window around the Newton
-# root, and Newton's stop size and iteration cap (see _window).
+# Relative error bound of _sum_at, half-width of the window around the root
+# estimate, and the root iteration's stop size and cap (see _window).  A
+# Halley step of at most _ROOT_STOP in log r leaves an error of order its
+# cube, far inside the window.
 _KAPPA = 1e-13
 _WINDOW = 1e-11
-_NEWTON_STOP = 1e-13
-_NEWTON_CAP = 50
+_ROOT_STOP = 1e-5
+_ROOT_CAP = 50
 
 
 def _multipliers(kind: str, rho: float, n: np.ndarray) -> np.ndarray:
@@ -72,7 +76,8 @@ def _checked_weights(weights) -> np.ndarray:
     arr = np.asarray(weights, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ParameterError("weights must be a non-empty vector")
-    if not np.all(arr >= 0.0):
+    # one pass; a nan minimum fails the comparison
+    if not np.minimum.reduce(arr) >= 0.0:
         raise ParameterError("weights must be nonnegative numbers")
     return arr
 
@@ -111,7 +116,7 @@ class RadiusQuery:
             raise ParameterError(
                 f"tol must be finite and below {_MAX_TOL}, got {self.tol!r}"
             )
-        arr = _checked_weights(self.weights).copy()
+        arr = _checked_weights(np.array(self.weights, dtype=float))
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
 
@@ -138,53 +143,83 @@ class RadiusResult:
     steps: int = 0
 
 
-def _terms(kind: str, rho: float, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, e) with S(r) = sum c * r**e: c_n = m_n(rho) * v_n and e_n = n + 1.
+@lru_cache(maxsize=64)
+def _indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, e) = (1, ..., size) and n + 1 as read-only floats, shared per size."""
+    n = np.arange(1, size + 1, dtype=float)
+    e = n + 1
+    n.setflags(write=False)
+    e.setflags(write=False)
+    return n, e
 
-    Callers run this and :func:`_sum_at` under ``np.errstate(over="ignore")``.
-    A c_n past the double range raises :class:`OverflowError` naming the
-    first such n: with c_n = inf, S(r) turns nan once r**e_n underflows, and
-    the bisection would read that as S <= 1.  The sum of finite terms
-    overflowing to inf is a correct S > 1.
+
+def _terms(
+    kind: str, rho: float, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(c, e, total) with S(r) = sum c * r**e: c_n = m_n(rho) * v_n,
+    e_n = n + 1 and total = sum(c), which is positive when any weight is.
+
+    Callers run this and every helper below under one
+    ``np.errstate(over="ignore", divide="ignore")``.  A c_n past the double
+    range raises :class:`OverflowError` naming the first such n: with
+    c_n = inf, S(r) turns nan once r**e_n underflows, and the bisection would
+    read that as S <= 1.  The sum of finite terms overflowing to inf is a
+    correct S > 1.  Every c_n is nonnegative, so only an infinite total needs
+    the elementwise scan.
     """
-    n = np.arange(1, len(weights) + 1, dtype=float)
+    n, e = _indices(len(weights))
     c = _multipliers(kind, rho, n) * weights
-    if not np.isfinite(c).all():
+    total = float(np.add.reduce(c))
+    if not math.isfinite(total) and not np.isfinite(c).all():
         bad = int(np.flatnonzero(~np.isfinite(c))[0]) + 1
         raise OverflowError(
             f"constraint term m_n * weight_n exceeds the floating-point range "
             f"at n={bad}"
         )
-    return c, n + 1
+    return c, e, total
 
 
 def _sum_at(c: np.ndarray, e: np.ndarray, r: float) -> float:
     return float(np.add.reduce(c * r**e))
 
 
-def _newton_root(c: np.ndarray, e: np.ndarray) -> float:
-    """Approximate root of S(r) = 1 by Newton on log S against log r.
+def _halley_root(c: np.ndarray, e: np.ndarray) -> float:
+    """Approximate root of S(r) = 1 by Halley steps on log S against log r.
 
-    Only terms with c_n > 0 take part.  At r0 = min(c_n^(-1/e_n), _EDGE)
-    every term is at most 1, so S(r0) <= n and nothing overflows; log S is
-    convex in log r, so the iterates fall towards the root from above.
+    At r0 = min(c_n^(-1/e_n), _EDGE) every term is at most 1 (a zero c_n
+    gives an infinite candidate, which the minimum skips).  With b = c r0**e
+    and r = r0 x, S = sum b x**e; the iterate x stays at most 1, so no term
+    exceeds 1 and nothing overflows.  b e and b e**2 are formed once, so a
+    step is one power and three dots.  log S is convex in log r, so from r0
+    the plain Newton step never passes the root; Halley's correction
+    1 - f f''/(2 f'^2) is used only while it is at least 1/2, which keeps a
+    step within twice Newton's.
     """
-    pos = c > 0.0
-    c, e = c[pos], e[pos]
-    r = min(float(np.min(c ** (-1.0 / e))), _EDGE)
-    for _ in range(_NEWTON_CAP):
-        p = c * r**e
-        s = float(np.add.reduce(p))
+    r0 = min(float(np.minimum.reduce(c ** (-1.0 / e))), _EDGE)
+    b = c * r0**e
+    be = b * e
+    be2 = be * e
+    x = 1.0
+    for _ in range(_ROOT_CAP):
+        p = x**e
+        s = float(np.dot(b, p))
         if not s > 0.0:
             break
-        step = s * math.log(s) / float(np.dot(e, p))
-        r *= math.exp(-step)
-        if abs(step) <= _NEWTON_STOP:
+        f = math.log(s)
+        d1 = float(np.dot(be, p)) / s
+        d2 = float(np.dot(be2, p)) / s
+        step = f / d1
+        halley = 1.0 - f * (d2 - d1 * d1) / (2.0 * d1 * d1)
+        if halley >= 0.5:
+            step /= halley
+        x, last = min(x * math.exp(-step), 1.0), x
+        # the cap holds x at 1 when the root lies at or past r0 = _EDGE
+        if abs(step) <= _ROOT_STOP or x == last:
             break
-    return r
+    return r0 * x
 
 
-def _separates(c: np.ndarray, e: np.ndarray, a: float, b: float) -> bool:
+def _separates(c: np.ndarray, e: np.ndarray, total: float, a: float, b: float) -> bool:
     """True when every comparison _sum_at(mid) > 1 is certainly false for
     mid <= a and true for mid >= b.
 
@@ -193,45 +228,48 @@ def _separates(c: np.ndarray, e: np.ndarray, a: float, b: float) -> bool:
     or two per term, numpy's pairwise sum adds O(u log n) of S (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 4.2),
     and a power that underflows adds at most c_n * 2**-1074, under 1e-15 in
-    all while sum(c) is finite.  The exact S is increasing, so
+    all while total = sum(c) is finite.  The exact S is increasing, so
     _sum_at(a) <= 1 - 3 kappa keeps it below 1 - 2 kappa, and _sum_at below
     1, at every mid <= a; _sum_at(b) >= 1 + 3 kappa keeps both above 1 at
     every mid >= b.
     """
-    return (math.isfinite(float(np.add.reduce(c))) and 0.0 < a < b < _EDGE
+    return (math.isfinite(total) and 0.0 < a < b < _EDGE
             and _sum_at(c, e, a) <= 1.0 - 3.0 * _KAPPA
             and _sum_at(c, e, b) >= 1.0 + 3.0 * _KAPPA)
 
 
-def _window(c: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """(a, b) around the Newton root that :func:`_separates` certifies;
+def _window(c: np.ndarray, e: np.ndarray, total: float) -> tuple[float, float]:
+    """(a, b) around the root estimate that :func:`_separates` certifies;
     (0, inf) when that fails.
     """
-    r = _newton_root(c, e)
+    r = _halley_root(c, e)
     a, b = r * (1.0 - _WINDOW), r * (1.0 + _WINDOW)
-    return (a, b) if _separates(c, e, a, b) else (0.0, math.inf)
+    return (a, b) if _separates(c, e, total, a, b) else (0.0, math.inf)
 
 
 def constraint_sum(q: RadiusQuery, r: float) -> float:
     """S(r) for 0 <= r < 1; strictly increasing when any weight is positive."""
     if not (0.0 <= r < 1.0):
         raise ParameterError(f"r must lie in [0, 1), got {r!r}")
-    with np.errstate(over="ignore"):
-        return _sum_at(*_terms(q.kind, q.rho, q.weights), r)
+    with np.errstate(over="ignore", divide="ignore"):
+        c, e, _ = _terms(q.kind, q.rho, q.weights)
+        return _sum_at(c, e, r)
 
 
-def _bisect(c: np.ndarray, e: np.ndarray, tol: float) -> RadiusResult:
-    """Bisection for the root of S(r) = sum c * r**e = 1, deciding S(mid) > 1
-    from the certified window where it can, so S is evaluated only inside it
-    and for the residual at the stop test; every midpoint, step and result is
-    that of evaluating S at each midpoint.  Callers run it under
-    ``np.errstate(over="ignore")``.
+def _bisect(c: np.ndarray, e: np.ndarray, total: float, tol: float) -> RadiusResult:
+    """Bisection for the root of S(r) = sum c * r**e = 1, deciding S > 1 at
+    the edge and at each midpoint from the certified window where it can, so
+    S is evaluated only inside it and for the residual at the stop test;
+    every midpoint, step and result is that of evaluating S at each of them.
+    (c, e, total) come from :func:`_terms`, under the same ``np.errstate``.
     """
-    s_edge = _sum_at(c, e, _EDGE)
+    a, b = _window(c, e, total)
     steps = 1
-    if s_edge <= 1.0:
-        return RadiusResult(_EDGE, (_EDGE, _EDGE), len(c), s_edge, True, steps)
-    a, b = _window(c, e)
+    # a certified window ends below _EDGE, which decides S(_EDGE) > 1
+    if b > _EDGE:
+        s_edge = _sum_at(c, e, _EDGE)
+        if s_edge <= 1.0:
+            return RadiusResult(_EDGE, (_EDGE, _EDGE), len(c), s_edge, True, steps)
     lo, hi = 0.0, _EDGE
     s_lo = 0.0
     for _ in range(_MAX_BISECT):
@@ -273,20 +311,21 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
     midpoint left of the interval and S > 1 at every one right of it, and so
     stop within 9*tol of r.
     """
-    if not np.any(q.weights > 0.0):
-        raise ParameterError("at least one weight must be positive")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         # before the model is called: an overflowing term at n_max raises first
-        c, e = _terms(q.kind, q.rho, q.weights)
+        c, e, total = _terms(q.kind, q.rho, q.weights)
+        if not total > 0.0:
+            raise ParameterError("at least one weight must be positive")
         if q.weight_model is None:
-            return _bisect(c, e, q.tol)
+            return _bisect(c, e, total, q.tol)
+    # outside the errstate: the model's own floating-point warnings stay its own
     doubled = _checked_weights(q.weight_model(2 * q.n_max))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         refined = _bisect(*_terms(q.kind, q.rho, doubled), q.tol)
         r, margin = refined.radius, 8.0 * q.tol
-        if _separates(c, e, r - margin, r + margin):
+        if _separates(c, e, total, r - margin, r + margin):
             return refined
-        base = _bisect(c, e, q.tol)
+        base = _bisect(c, e, total, q.tol)
     if abs(refined.radius - base.radius) > 10.0 * q.tol:
         warnings.warn(
             TruncationWarning(

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,8 +420,19 @@ class TestGenerateCommand:
         assert np.all(f.coeffs == 0)
 
     def test_boundary_mass_exits_2(self, capsys):
-        code, _, _ = run(capsys, "generate", *self.CLASS_ARGS, "--schwarz", "1.0")
+        code, _, err = run(capsys, "generate", *self.CLASS_ARGS, "--schwarz", "0,1.0")
         assert code == 2
+        assert "sum |c_k| must stay strictly below 1" in err
+
+    @pytest.mark.parametrize("command", ["generate", "verify-identities"])
+    def test_linear_term_exits_2_before_output(self, capsys, command):
+        code, out, err = run(capsys, command, *self.CLASS_ARGS, "--schwarz", "0.9")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: --schwarz must start with c1 = 0: the class is parametrised "
+            "by Schwarz functions with w'(0) = 0, got c1=(0.9+0j)\n"
+        )
 
     def test_pole_index_exits_2(self, capsys):
         code, out, err = run(
@@ -434,14 +449,14 @@ class TestGenerateCommand:
     def test_near_extremal_first_coefficient(self, capsys, tmp_path):
         out_path = tmp_path / "coeffs.csv"
         code, out, _ = run(
-            capsys, "generate", *self.CLASS_ARGS, "--schwarz", "0.999",
+            capsys, "generate", *self.CLASS_ARGS, "--schwarz", "0,0.999",
             "--n-max", "4", "--out", str(out_path),
         )
         assert code == 0
         first_row = data_rows(out)[0].split(",")
-        # the coefficient relations make a_1 quadratic in the leading
-        # Schwarz coefficient: |a_1| = 3 * 0.999**2, approaching the bound 3
-        assert float(first_row[1]) == pytest.approx(3 * 0.999**2, rel=1e-9)
+        # inside the class (w'(0) = 0) a_1 is linear in c_2:
+        # |a_1| = 3 * 0.999, approaching the bound 3
+        assert float(first_row[1]) == pytest.approx(3 * 0.999, rel=1e-9)
         assert float(first_row[1]) < float(first_row[2])
         assert "all_satisfied=True" in out
 
@@ -483,6 +498,17 @@ class TestVerifyIdentities:
         code, _, _ = run(capsys, "verify-identities", *self.CLASS_ARGS)
         assert code == 2
 
+    def test_random_draws_stay_in_the_class(self, capsys):
+        # every draw has w'(0) = 0, so the defining relation holds to rounding
+        code, out, _ = run(
+            capsys, "verify-identities", *self.CLASS_ARGS, "--random", "5",
+            "--n-max", "16",
+        )
+        assert code == 0
+        residuals = [float(r.split(",")[2]) for r in data_rows(out) if "," in r]
+        assert len(residuals) == 5 * 18
+        assert max(residuals) < 1e-12
+
     def test_n_max_below_one_exits_2_before_output(self, capsys):
         code, out, err = run(
             capsys, "verify-identities", *self.CLASS_ARGS, "--random", "2",
@@ -491,6 +517,53 @@ class TestVerifyIdentities:
         assert code == 2
         assert out == ""
         assert err == "error: --n-max must be >= 1, got 0\n"
+
+
+class TestClosedStdout:
+    ARGV = ["verify-identities", "--theta", "0", "--lam", "0", "--gamma", "2",
+            "--alpha", "0", "--beta", "1", "--n-max", "40"]
+
+    @staticmethod
+    def _spawn(argv, stdout):
+        import wrightlens
+
+        env = dict(os.environ)
+        # stdout block-buffered, as it is for a pipe by default
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(wrightlens.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.Popen(
+            [sys.executable, "-m", "wrightlens.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env=env,
+        )
+
+    def test_reader_closing_after_the_first_line_exits_1_quietly(self):
+        # well past the pipe's buffer, so the writer is still writing when
+        # the reader goes away
+        proc = self._spawn(self.ARGV + ["--random", "200"], subprocess.PIPE)
+        with proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first.startswith(b"# params:")
+        assert err == b""
+        assert code == 1
+
+    def test_reader_gone_before_the_final_flush_exits_1_quietly(self):
+        # a short output stays buffered until the end; with the read end
+        # closed before the start, only that last flush meets the closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._spawn(self.ARGV + ["--random", "4"], write_end)
+        finally:
+            os.close(write_end)
+        with proc:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert err == b""
+        assert code == 1
 
 
 class TestPastOrderCap:
@@ -566,6 +639,8 @@ class TestSizeLimits:
             (["radius", "star", *CLASS_ARGS, "--n-max", HUGE], "--n-max", 10_000),
             (["radius", "star", "--curve", "--extremal-n", "1", "--steps", HUGE],
              "--steps", 10_000),
+            (["radius", "star", "--rho", "0", "--extremal-n", HUGE],
+             "--extremal-n", 10_000),
             (["member", *CLASS_ARGS, "--coeffs", "missing.csv", "--scan",
               "--eta-count", HUGE], "--eta-count", 4_096),
             (["member", *CLASS_ARGS, "--coeffs", "missing.csv", "--grid-radii", HUGE],
@@ -575,7 +650,7 @@ class TestSizeLimits:
         ],
         ids=["phi-table", "bounds", "generate", "verify-identities",
              "verify-identities-random", "radius",
-             "radius-steps", "member-eta-count", "member-grid-radii",
+             "radius-steps", "radius-extremal-n", "member-eta-count", "member-grid-radii",
              "member-grid-angles"],
     )
     def test_oversized_flag_exits_2(self, capsys, argv, flag, limit):

@@ -228,6 +228,20 @@ class TestSchwarzGenerate:
             seq = bound_sequence_closed(cp, WP, 15).values
             assert np.all(np.abs(f.coeffs) <= seq * (1 + 1e-9))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the h recursion's rounding is multiplied by 1/phi_n = n!: "
+        "|a_41| is about 5.8e10 and |a_57| about 3.2e29 where both are 0",
+    )
+    def test_high_orders_of_a_polynomial_member(self):
+        # (0, 0, 2) with w = 0.1 z^2 gives z H = (1 - 0.1 z^2)^3 exactly, and
+        # phi_n = 1/n! at (alpha, beta) = (0, 1): a_1, a_3, a_5 = -0.3, 0.18,
+        # -0.12 and every other a_n is 0
+        f = schwarz_generate(CP, WP, SchwarzFunction([0.0, 0.1]), 57)
+        want = np.zeros(57)
+        want[[0, 2, 4]] = [-0.3, 0.18, -0.12]
+        assert np.max(np.abs(f.coeffs - want)) <= 1e-9 * 0.3
+
     def test_pole_propagates(self):
         from wrightlens import PoleError
 

@@ -197,9 +197,9 @@ class TestSolveRadius:
         sizes = []
         bisect = radii._bisect
 
-        def counted(c, e, tol):
+        def counted(c, e, total, tol):
             sizes.append(len(c))
-            return bisect(c, e, tol)
+            return bisect(c, e, total, tol)
 
         with mock.patch.object(radii, "_bisect", counted):
             solve_radius(q)
@@ -444,7 +444,7 @@ class TestBisectionMatchesReference:
 
         sum_at = radii._sum_at
         q = RadiusQuery(q.rho, q.kind, q.weights, q.tol)
-        with mock.patch.object(radii, "_window", lambda c, e: (0.0, math.inf)), \
+        with mock.patch.object(radii, "_window", lambda c, e, total: (0.0, math.inf)), \
                 mock.patch.object(radii, "_sum_at", counted):
             outcome = self._outcome(solve_radius, q)
         assert outcome == self._outcome(_reference_solve, q)
@@ -472,8 +472,7 @@ class TestCertifiedWindow:
 
     def test_window_brackets_the_root(self):
         q = RadiusQuery(0.0, "starlike", operator_weights(CP, WP, 150))
-        c, e = radii._terms(q.kind, q.rho, q.weights)
-        a, b = radii._window(c, e)
+        a, b = radii._window(*radii._terms(q.kind, q.rho, q.weights))
         assert 0.0 < a < b < 1.0
         assert b - a <= 3e-11 * b
         assert constraint_sum(q, a) < 1.0 < constraint_sum(q, b)
@@ -483,8 +482,7 @@ class TestCertifiedWindow:
         # bound fails and the loop falls back to evaluating every midpoint
         q = RadiusQuery(0.0, "starlike", np.full(50, 3e306))
         with np.errstate(over="ignore"):
-            c, e = radii._terms(q.kind, q.rho, q.weights)
-            assert radii._window(c, e) == (0.0, math.inf)
+            assert radii._window(*radii._terms(q.kind, q.rho, q.weights)) == (0.0, math.inf)
         assert solve_radius(q) == _reference_solve(q)
 
 
