@@ -9,17 +9,16 @@ concrete function) the constraint
 
 is sufficient for the respective geometric property on |z| < r.  S is
 strictly increasing in r, so the supremum of the feasible set is either the
-whole punctured disk or the unique root of S(r) = 1; the solver bisects for
-that root and returns the conservative lower bracket end.
+whole punctured disk or the unique root of S(r) = 1.
 
-The bisection takes the same midpoints, steps and result as one that
-evaluates S at the edge and at every midpoint, but evaluates it about three
-times per query.  Halley steps on log S against log r (about 3.5 for class
-weights, 1 for a single term) put the root in a window of relative width
-2e-11; two evaluations of S certify that the float S lies below 1 left of the
-window and above 1 right of it, which decides every midpoint outside it and
-the check at the edge.  S is evaluated only at midpoints inside the window and
-for the residual at the stop test, and at the edge when the window fails.
+Halley steps on log S against log r (about 3.5 for class weights, none for a
+single term) estimate the root r; two evaluations of S certify that the
+exact sum of the float terms lies below 1 at r(1 - 1e-11) and above 1 at
+r(1 + 1e-11), and the solver returns that bracket, its lower end as the
+radius.  A query so evaluates S once at the start, once per Halley step and
+twice for the certificate.  When the certificate fails (an overflowing sum,
+a root at or past the edge 1 - 1e-9, a tol too small to certify) S is
+evaluated at the edge and at every midpoint of a plain bisection.
 
 With a weight model the query is solved at twice the truncation, and the
 solve at the given truncation runs only when two more evaluations of S cannot
@@ -57,12 +56,13 @@ _EDGE = 1.0 - 1e-9
 _MIN_TOL = 1e-12
 _MAX_TOL = 0.5
 _MAX_BISECT = 400
-# Relative error bound of _sum_at, half-width of the window around the root
-# estimate, and the root iteration's stop size and cap (see _window).  A
-# Halley step of at most _ROOT_STOP in log r leaves an error of order its
-# cube, far inside the window.
+# Relative error bound of _sum_at, half-width of the certified bracket, and
+# the root iteration's start test, stop size and cap (see _separates and
+# _halley_root).  A Halley step of at most _ROOT_STOP in log r leaves an
+# error of order its cube, far inside the bracket.
 _KAPPA = 1e-13
 _WINDOW = 1e-11
+_START_TOL = 1e-14
 _ROOT_STOP = 1e-5
 _ROOT_CAP = 50
 
@@ -129,10 +129,14 @@ class RadiusQuery:
 class RadiusResult:
     """Solved radius with its bracket, truncation, and constraint residual.
 
-    ``unconstrained`` marks the case where the constraint never reaches 1
-    inside the disk; the radius is then pinned just below 1.  ``steps`` counts
-    the bisection's halvings plus the check at the edge; it is not the number
-    of evaluations of S.
+    ``bracket`` holds the root of S(r) = 1 for the exact sum of the float
+    terms and is at most tol wide: r(1 -+ 1e-11) around the root estimate r
+    when certified, else bisection's.  ``radius`` is its lower end and
+    ``residual`` the S there.  ``unconstrained`` marks the case where the
+    constraint never reaches 1 inside the disk; the radius is then pinned
+    just below 1.  ``steps`` counts the Halley steps plus, when the
+    certificate fails, the check at the edge and each bisection halving; S
+    is evaluated at most ``steps + 3`` times.
     """
 
     radius: float
@@ -183,24 +187,28 @@ def _sum_at(c: np.ndarray, e: np.ndarray, r: float) -> float:
     return float(np.add.reduce(c * r**e))
 
 
-def _halley_root(c: np.ndarray, e: np.ndarray) -> float:
-    """Approximate root of S(r) = 1 by Halley steps on log S against log r.
+def _halley_root(c: np.ndarray, e: np.ndarray) -> tuple[float, int]:
+    """(r, steps): an approximate root of S(r) = 1 after ``steps`` Halley
+    steps on log S against log r.
 
     At r0 = min(c_n^(-1/e_n), _EDGE) every term is at most 1 (a zero c_n
     gives an infinite candidate, which the minimum skips).  With b = c r0**e
     and r = r0 x, S = sum b x**e; the iterate x stays at most 1, so no term
-    exceeds 1 and nothing overflows.  b e and b e**2 are formed once, so a
-    step is one power and three dots.  log S is convex in log r, so from r0
-    the plain Newton step never passes the root; Halley's correction
-    1 - f f''/(2 f'^2) is used only while it is at least 1/2, which keeps a
-    step within twice Newton's.
+    exceeds 1 and nothing overflows.  log S is convex in log r with slope at
+    least 2, so from r0 the Newton step, at most |log S| / 2, never passes
+    the root; Halley's correction 1 - f f''/(2 f'^2) is used only while it
+    is at least 1/2, which keeps a step within |log S|.  So r0 is returned
+    unchanged when |log S(r0)| <= _START_TOL, as for a single term.
     """
     r0 = min(float(np.minimum.reduce(c ** (-1.0 / e))), _EDGE)
     b = c * r0**e
+    s = float(np.add.reduce(b))
+    if not s > 0.0 or abs(math.log(s)) <= _START_TOL:
+        return r0, 0
     be = b * e
     be2 = be * e
     x = 1.0
-    for _ in range(_ROOT_CAP):
+    for steps in range(1, _ROOT_CAP + 1):
         p = x**e
         s = float(np.dot(b, p))
         if not s > 0.0:
@@ -216,12 +224,14 @@ def _halley_root(c: np.ndarray, e: np.ndarray) -> float:
         # the cap holds x at 1 when the root lies at or past r0 = _EDGE
         if abs(step) <= _ROOT_STOP or x == last:
             break
-    return r0 * x
+    return r0 * x, steps
 
 
-def _separates(c: np.ndarray, e: np.ndarray, total: float, a: float, b: float) -> bool:
-    """True when every comparison _sum_at(mid) > 1 is certainly false for
-    mid <= a and true for mid >= b.
+def _separates(
+    c: np.ndarray, e: np.ndarray, total: float, a: float, b: float
+) -> float | None:
+    """_sum_at(a) when it and _sum_at(b) certify that the exact sum of the
+    terms is below 1 at a and above 1 at b; None otherwise.
 
     _sum_at is within _KAPPA * max(S, 1) of the exact sum of its terms, with
     room to spare: every term is nonnegative, pow and the product add an ulp
@@ -230,21 +240,15 @@ def _separates(c: np.ndarray, e: np.ndarray, total: float, a: float, b: float) -
     and a power that underflows adds at most c_n * 2**-1074, under 1e-15 in
     all while total = sum(c) is finite.  The exact S is increasing, so
     _sum_at(a) <= 1 - 3 kappa keeps it below 1 - 2 kappa, and _sum_at below
-    1, at every mid <= a; _sum_at(b) >= 1 + 3 kappa keeps both above 1 at
-    every mid >= b.
+    1, at every r <= a; _sum_at(b) >= 1 + 3 kappa keeps both above 1 at
+    every r >= b.  The root of the exact sum then lies in (a, b).
     """
-    return (math.isfinite(total) and 0.0 < a < b < _EDGE
-            and _sum_at(c, e, a) <= 1.0 - 3.0 * _KAPPA
-            and _sum_at(c, e, b) >= 1.0 + 3.0 * _KAPPA)
-
-
-def _window(c: np.ndarray, e: np.ndarray, total: float) -> tuple[float, float]:
-    """(a, b) around the root estimate that :func:`_separates` certifies;
-    (0, inf) when that fails.
-    """
-    r = _halley_root(c, e)
-    a, b = r * (1.0 - _WINDOW), r * (1.0 + _WINDOW)
-    return (a, b) if _separates(c, e, total, a, b) else (0.0, math.inf)
+    if not (math.isfinite(total) and 0.0 < a < b < _EDGE):
+        return None
+    s_a = _sum_at(c, e, a)
+    if s_a <= 1.0 - 3.0 * _KAPPA and _sum_at(c, e, b) >= 1.0 + 3.0 * _KAPPA:
+        return s_a
+    return None
 
 
 def constraint_sum(q: RadiusQuery, r: float) -> float:
@@ -256,49 +260,41 @@ def constraint_sum(q: RadiusQuery, r: float) -> float:
         return _sum_at(c, e, r)
 
 
-def _bisect(c: np.ndarray, e: np.ndarray, total: float, tol: float) -> RadiusResult:
-    """Bisection for the root of S(r) = sum c * r**e = 1, deciding S > 1 at
-    the edge and at each midpoint from the certified window where it can, so
-    S is evaluated only inside it and for the residual at the stop test;
-    every midpoint, step and result is that of evaluating S at each of them.
-    (c, e, total) come from :func:`_terms`, under the same ``np.errstate``.
+def _solve(c: np.ndarray, e: np.ndarray, total: float, tol: float) -> RadiusResult:
+    """Root of S(r) = sum c * r**e = 1 for the terms of :func:`_terms`, under
+    the same ``np.errstate``: the bracket r -+ h around the Halley root r,
+    h = _WINDOW * r or 0.45 tol (b - a <= tol after rounding), when
+    :func:`_separates` certifies it; else the edge check and plain bisection.
     """
-    a, b = _window(c, e, total)
-    steps = 1
-    # a certified window ends below _EDGE, which decides S(_EDGE) > 1
-    if b > _EDGE:
-        s_edge = _sum_at(c, e, _EDGE)
-        if s_edge <= 1.0:
-            return RadiusResult(_EDGE, (_EDGE, _EDGE), len(c), s_edge, True, steps)
-    lo, hi = 0.0, _EDGE
-    s_lo = 0.0
+    r, steps = _halley_root(c, e)
+    h = min(_WINDOW * r, 0.45 * tol)
+    a, b = r - h, r + h
+    s_a = _separates(c, e, total, a, b)
+    if s_a is not None:
+        return RadiusResult(a, (a, b), len(c), s_a, False, steps)
+    steps += 1
+    s_edge = _sum_at(c, e, _EDGE)
+    if s_edge <= 1.0:
+        return RadiusResult(_EDGE, (_EDGE, _EDGE), len(c), s_edge, True, steps)
+    lo, hi, s_lo = 0.0, _EDGE, 0.0
     for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            if s_lo is None:
-                s_lo = _sum_at(c, e, lo)
-            if abs(s_lo - 1.0) <= 10.0 * tol:
-                break
+        if hi - lo <= tol and abs(s_lo - 1.0) <= 10.0 * tol:
+            break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
         steps += 1
-        if mid <= a:
-            lo, s_lo = mid, None
-        elif mid >= b:
+        s_mid = _sum_at(c, e, mid)
+        if s_mid > 1.0:
             hi = mid
         else:
-            s_mid = _sum_at(c, e, mid)
-            if s_mid > 1.0:
-                hi = mid
-            else:
-                lo, s_lo = mid, s_mid
-    if s_lo is None:
-        s_lo = _sum_at(c, e, lo)
+            lo, s_lo = mid, s_mid
     return RadiusResult(lo, (lo, hi), len(c), s_lo, False, steps)
 
 
 def solve_radius(q: RadiusQuery) -> RadiusResult:
-    """Largest grid-certifiable radius: the inequality holds at the output.
+    """Radius where the coefficient-sum condition holds, up to tol below the
+    root of S = 1 (see :class:`RadiusResult`).
 
     With a ``weight_model`` the problem is re-solved at twice the truncation;
     the two radii disagreeing by more than 10*tol raises a
@@ -307,9 +303,9 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
 
     The solve at n_max runs only when the warning could fire.  With r the
     doubled radius, when :func:`_separates` certifies the n_max sum at
-    r - 8*tol and r + 8*tol, that bisection would decide S <= 1 at every
-    midpoint left of the interval and S > 1 at every one right of it, and so
-    stop within 9*tol of r.
+    r - 8*tol and r + 8*tol, the float S of that sum is at most 1 left of
+    the interval and above 1 right of it, so either path of that solve
+    would return a radius within 9*tol of r.
     """
     with np.errstate(over="ignore", divide="ignore"):
         # before the model is called: an overflowing term at n_max raises first
@@ -317,15 +313,15 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
         if not total > 0.0:
             raise ParameterError("at least one weight must be positive")
         if q.weight_model is None:
-            return _bisect(c, e, total, q.tol)
+            return _solve(c, e, total, q.tol)
     # outside the errstate: the model's own floating-point warnings stay its own
     doubled = _checked_weights(q.weight_model(2 * q.n_max))
     with np.errstate(over="ignore", divide="ignore"):
-        refined = _bisect(*_terms(q.kind, q.rho, doubled), q.tol)
+        refined = _solve(*_terms(q.kind, q.rho, doubled), q.tol)
         r, margin = refined.radius, 8.0 * q.tol
-        if _separates(c, e, total, r - margin, r + margin):
+        if _separates(c, e, total, r - margin, r + margin) is not None:
             return refined
-        base = _bisect(c, e, total, q.tol)
+        base = _solve(c, e, total, q.tol)
     if abs(refined.radius - base.radius) > 10.0 * q.tol:
         warnings.warn(
             TruncationWarning(

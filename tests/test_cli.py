@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -7,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrightlens.cli import main, parse_complex
 from wrightlens import ParameterError, read_coefficient_csv
+from param_grids import class_grid
 
 
 def run(capsys, *argv):
@@ -177,20 +182,24 @@ class TestRadiusCommand:
 
     def test_strict_fallback_reports_the_base_radius(self, capsys):
         # the base solve runs only when the warning can fire; its radius is
-        # part of the message
+        # part of the message.  Each radius lies at most 2e-11 (relative)
+        # below the 50-digit root of its own float terms (n_max 20 and 10).
         code, out, err = run(
             capsys, "radius", "star", "--rho", "0", "--theta", "0", "--lam", "0.45",
             "--gamma", "5", "--alpha", "0", "--beta", "1", "--n-max", "10", "--strict",
         )
         assert code == 4
         assert data_rows(out) == [
-            "0.2816940491996084,0.2816940491996084,0.2816940496652697,20"
+            "0.2816940493649412,0.2816940493649412,0.281694049370575,20"
         ]
         assert err == (
-            "warning: radius moved from 0.3078325997753696 (n_max=10) to "
-            "0.2816940491996084 (n_max=20) when the truncation doubled; "
+            "warning: radius moved from 0.3078326000198923 (n_max=10) to "
+            "0.2816940493649412 (n_max=20) when the truncation doubled; "
             "increase n_max\n"
         )
+        for radius, root in ((0.2816940493649412, 0.28169404936775811653),
+                             (0.3078326000198923, 0.30783260002297062516)):
+            assert 0.0 < root - radius <= 2e-11 * root
 
     def test_strict_silent_when_converged(self, capsys):
         code, out, _ = run(
@@ -256,6 +265,49 @@ class TestRadiusCommand:
         assert code == 2
         assert out == ""
         assert "tol must be finite and below 0.5" in err
+
+    RADIUS_SOURCES = st.one_of(
+        st.integers(1, 40).map(lambda k: ["--extremal-n", str(k)]),
+        st.tuples(st.sampled_from(tuple(class_grid())), st.integers(1, 60)).map(
+            lambda drawn: [
+                "--theta", repr(drawn[0].theta), "--lam", repr(drawn[0].lam),
+                "--gamma", repr(drawn[0].gamma), "--alpha", "0", "--beta", "1",
+                "--n-max", str(drawn[1]),
+            ]
+        ),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(("star", "convex")),
+        rho=st.floats(0.0, 1.0, exclude_max=True),
+        tol=st.one_of(
+            st.floats(1e-12, 0.5, exclude_max=True),
+            st.floats(-12.0, -0.31).map(lambda u: max(10.0**u, 1e-12)),
+        ),
+        source=RADIUS_SOURCES,
+    )
+    def test_any_rho_and_tol_give_a_bracket_within_tol(self, kind, rho, tol, source):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["radius", kind, "--rho", repr(rho), "--tol", repr(tol), *source])
+        assert code == 0, err.getvalue()
+        radius, lo, hi, _ = (float(x) for x in data_rows(out.getvalue())[0].split(","))
+        assert radius == lo <= hi
+        assert hi - lo <= tol
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("tol", ["1e-13", "0", "-1", "nan", "0.5", "inf"])
+    @pytest.mark.parametrize(
+        "source",
+        [["--extremal-n", "2"],
+         ["--theta", "0", "--lam", "0.2", "--gamma", "2", "--alpha", "0", "--beta", "1"]],
+    )
+    def test_tol_out_of_range_exits_2(self, capsys, tol, source):
+        code, out, err = run(capsys, "radius", "star", "--tol", tol, *source)
+        assert code == 2
+        assert out == ""
+        assert "tol must be" in err
 
     def test_curve_builds_class_weights_once_per_truncation(self, capsys, monkeypatch):
         from functools import lru_cache

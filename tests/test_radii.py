@@ -2,6 +2,7 @@ import math
 import warnings
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,27 +194,27 @@ class TestSolveRadius:
         assert result.truncation_used == 80
 
     @staticmethod
-    def _bisected_sizes(q):
+    def _solved_sizes(q):
         sizes = []
-        bisect = radii._bisect
+        solve = radii._solve
 
         def counted(c, e, total, tol):
             sizes.append(len(c))
-            return bisect(c, e, total, tol)
+            return solve(c, e, total, tol)
 
-        with mock.patch.object(radii, "_bisect", counted):
+        with mock.patch.object(radii, "_solve", counted):
             solve_radius(q)
         return sizes
 
     def test_converged_model_bisects_once(self):
         model = lambda k: operator_weights(CP, WP, k)
         q = RadiusQuery(0.3, "convex", model(40), 1e-9, weight_model=model)
-        assert self._bisected_sizes(q) == [80]
+        assert self._solved_sizes(q) == [80]
 
     def test_unconverged_model_bisects_twice(self):
         q = RadiusQuery(0.0, "starlike", np.ones(2), 1e-9, weight_model=np.ones)
         with pytest.warns(TruncationWarning):
-            assert self._bisected_sizes(q) == [4, 2]
+            assert self._solved_sizes(q) == [4, 2]
 
     @pytest.mark.parametrize(
         "doubled,message",
@@ -239,10 +240,41 @@ class TestSolveRadius:
         with pytest.raises(OverflowError, match="n=574"):
             solve_radius(q)
 
-    def test_steps_count_evaluations(self):
-        assert solve_radius(RadiusQuery(0.0, "starlike", np.array([1e-12]))).steps == 1
-        # from the bracket [0, 1 - 1e-9] to width 1e-9 takes 30 halvings
-        assert solve_radius(single_weight_query("starlike", 0.0, 1)).steps == 31
+    def test_steps_count_root_and_bisection_steps(self):
+        # one Halley step, held at the edge by the cap, then the check there
+        assert solve_radius(RadiusQuery(0.0, "starlike", np.array([1e-12]))).steps == 2
+        # the start c^(-1/e) of a single term is its root: no Halley step
+        assert solve_radius(single_weight_query("starlike", 0.0, 1)).steps == 0
+        q = RadiusQuery(0.3, "convex", operator_weights(CP, WP, 150))
+        assert 2 <= solve_radius(q).steps <= 6
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_term_matches_the_closed_form(self, kind, rho, n):
+        # the radius is the lower end of the certified bracket r(1 -+ 1e-11)
+        # around the root, so at most 2e-11 of it below
+        got = solve_radius(single_weight_query(kind, rho, n)).radius
+        want = extremal_curve(kind, [rho], n)[0, 1]
+        assert got <= want * (1.0 + 1e-15)
+        assert got == pytest.approx(want, rel=3e-11, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_single_term_takes_no_halley_step(self, kind, n):
+        # the start is returned before b e, b e^2 and any dot are formed
+        calls = []
+        dot = np.dot
+
+        def counted(*args):
+            calls.append(args)
+            return dot(*args)
+
+        with mock.patch.object(radii.np, "dot", counted):
+            result = solve_radius(single_weight_query(kind, 0.4, n))
+        assert calls == []
+        assert result.steps == 0
+        assert not result.unconstrained
 
     def test_convex_radius_at_most_starlike(self):
         weights = operator_weights(CP, WP, 25)
@@ -252,46 +284,113 @@ class TestSolveRadius:
 
 
 _EDGE = 1.0 - 1e-9
+# Float error of S, relative to the root, that a fallback bisection's
+# comparisons S(mid) > 1 can make: S within 1e-13 of its exact sum, and
+# d log S / d log r >= 2
+_FALLBACK_SLACK = 1e-12
 
 
-def _reference_bisect(q: RadiusQuery) -> RadiusResult:
-    """Plain bisection on the public S(r), one call per step."""
-    s_edge = constraint_sum(q, _EDGE)
-    if s_edge <= 1.0:
-        return RadiusResult(_EDGE, (_EDGE, _EDGE), q.n_max, s_edge, True, 1)
-    lo, hi, s_lo, steps = 0.0, _EDGE, 0.0, 1
-    for _ in range(400):
-        if hi - lo <= q.tol and abs(s_lo - 1.0) <= 10.0 * q.tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        s_mid = constraint_sum(q, mid)
-        steps += 1
-        if s_mid > 1.0:
-            hi = mid
-        else:
-            lo, s_lo = mid, s_mid
-    return RadiusResult(lo, (lo, hi), q.n_max, s_lo, False, steps)
+def _solved_weights(q: RadiusQuery) -> np.ndarray:
+    return q.weights if q.weight_model is None else q.weight_model(2 * q.n_max)
 
 
-def _reference_solve(q: RadiusQuery) -> RadiusResult:
-    """Always solves at n_max, then at twice it with a model, and warns when
-    the two radii are more than 10*tol apart."""
-    base = _reference_bisect(q)
-    if q.weight_model is None:
-        return base
-    doubled = RadiusQuery(q.rho, q.kind, q.weight_model(2 * q.n_max), q.tol)
-    refined = _reference_bisect(doubled)
-    if abs(refined.radius - base.radius) > 10.0 * q.tol:
-        warnings.warn(
-            TruncationWarning(
-                f"radius moved from {base.radius!r} (n_max={q.n_max}) to "
-                f"{refined.radius!r} (n_max={doubled.n_max}) when the "
-                "truncation doubled; increase n_max"
-            )
-        )
-    return refined
+def _exact_root(kind: str, rho: float, weights, start: float):
+    """Root of sum c_n r^(n+1) = 1 over the solver's float terms c_n, summed
+    exactly at 50 digits, by Newton on log S against log r; inf when that
+    sum is at most 1 at the edge.
+
+    log S is convex and increasing in log r, so Newton reaches the root from
+    any start: from below its first step lands above the root, and from
+    above it falls to the root.  Terms under 1e-70 at ``reach`` are dropped,
+    which moves S by less than 1e-66 up to there: first with reach
+    1.01 * start, then, for a root past that, with reach the edge.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        c, e, _ = radii._terms(kind, rho, np.asarray(weights, dtype=float))
+        log_c = np.log10(c)
+    with mp.workdps(50):
+
+        def terms_at(reach):
+            keep = np.flatnonzero(log_c + e * math.log10(reach) > -70.0)
+            return [(mp.mpf(float(c[i])), int(e[i])) for i in keep]
+
+        near = min(1.01 * start, _EDGE)
+        if near < _EDGE and (terms := terms_at(near)):
+            root = _newton(terms, mp.mpf(start))
+            if root <= near:
+                return root
+        terms = terms_at(_EDGE)
+        if _exact_sums(terms, mp.mpf(_EDGE))[0] <= 1:
+            return mp.inf
+        return _newton(terms, mp.mpf(_EDGE))
+
+
+def _exact_sums(terms, r):
+    """(S, r S') at r over (c_n, e_n) terms with increasing e_n."""
+    s = slope = mp.mpf(0)
+    p, last = mp.mpf(1), 0
+    for cn, en in terms:
+        p *= r if en == last + 1 else r ** (en - last)
+        last = en
+        term = cn * p
+        s += term
+        slope += en * term
+    return s, slope
+
+
+def _newton(terms, start):
+    t = mp.log(start)
+    for _ in range(200):
+        s, slope = _exact_sums(terms, mp.exp(t))
+        step = mp.log(s) * s / slope
+        t -= step
+        if abs(step) < mp.mpf(10) ** -45:
+            return mp.exp(t)
+    raise AssertionError("Newton did not converge")
+
+
+def _outcome(q: RadiusQuery):
+    """(result, certified, warnings) of solve_radius, or the OverflowError's
+    text; ``certified`` is the first certificate's verdict, the one on the
+    terms of the returned result."""
+    verdicts = []
+    separates = radii._separates
+
+    def recorded(*args):
+        s_a = separates(*args)
+        verdicts.append(s_a is not None)
+        return s_a
+
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(radii, "_separates", recorded):
+        warnings.simplefilter("always")
+        try:
+            result = solve_radius(q)
+        except OverflowError as exc:
+            return str(exc), None, caught
+    return result, verdicts[0], caught
+
+
+def _check_oracle(q: RadiusQuery, result: RadiusResult, certified: bool):
+    """radius <= root <= bracket_hi for the exact root of the returned terms;
+    at most 2e-11 of it below on the certified path, tol on the fallback."""
+    lo, hi = result.bracket
+    assert result.radius == lo <= hi
+    assert hi - lo <= q.tol
+    assert result.truncation_used == len(_solved_weights(q))
+    root = _exact_root(q.kind, q.rho, _solved_weights(q), max(hi, 1e-300))
+    if result.unconstrained:
+        assert root >= _EDGE * (1.0 - _FALLBACK_SLACK)
+        assert lo == hi == _EDGE
+        return
+    if certified:
+        assert lo <= root <= hi
+        assert root - lo <= 2.1e-11 * root
+        assert result.residual < 1.0
+    else:
+        assert lo * (1.0 - _FALLBACK_SLACK) <= root <= hi * (1.0 + _FALLBACK_SLACK)
+        assert root - lo <= q.tol + _FALLBACK_SLACK * root
+        assert result.residual <= 1.0
 
 
 @st.composite
@@ -388,73 +487,90 @@ def wide_radius_queries(draw):
     return RadiusQuery(rho, kind, weights, tol)
 
 
-class TestBisectionMatchesReference:
-    """The solver's precomputed terms give the public S(r) bit for bit."""
+def _overflows(q: RadiusQuery, message: str) -> bool:
+    n = np.arange(1, len(_solved_weights(q)) + 1)
+    with np.errstate(over="ignore"):
+        c = radii._multipliers(q.kind, q.rho, n) * _solved_weights(q)
+    return message.endswith(f"n={int(np.flatnonzero(np.isinf(c))[0]) + 1}")
+
+
+class TestRootOracle:
+    """Every result against an exact root of its own float terms."""
 
     @staticmethod
-    def _outcome(solve, q):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
-                return solve(q)
-        except OverflowError as exc:
-            return str(exc)
+    def _meets_the_oracle(q):
+        result, certified, _ = _outcome(q)
+        if isinstance(result, str):
+            assert _overflows(q, result)
+        else:
+            _check_oracle(q, result, certified)
 
-    @staticmethod
-    def _warned_outcome(solve, q):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result = solve(q)
-            except OverflowError as exc:
-                result = str(exc)
-        return result, [(w.category, str(w.message)) for w in caught]
-
-    @settings(max_examples=300, deadline=None)
-    @given(modelled_queries())
-    def test_same_truncation_warnings(self, q):
-        # skipping the solve at n_max must never drop, add or change a warning
-        assert self._warned_outcome(solve_radius, q) == self._warned_outcome(
-            _reference_solve, q
-        )
-
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(radius_queries())
-    def test_bit_identical(self, q):
-        # RadiusResult equality compares radius, bracket, residual,
-        # truncation_used, unconstrained and steps exactly
-        assert self._outcome(solve_radius, q) == self._outcome(_reference_solve, q)
+    def test_meets_the_oracle(self, q):
+        self._meets_the_oracle(q)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(wide_radius_queries())
-    def test_bit_identical_wide(self, q):
-        assert self._outcome(solve_radius, q) == self._outcome(_reference_solve, q)
+    def test_meets_the_oracle_wide(self, q):
+        self._meets_the_oracle(q)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
+    @given(modelled_queries())
+    def test_truncation_warnings_match_the_oracle(self, q):
+        # each radius lies at most tol (plus float slack) below its root, so
+        # the 10*tol rule is decided by the two roots up to about 2*tol
+        result, certified, caught = _outcome(q)
+        if isinstance(result, str):
+            assert _overflows(q, result)
+            return
+        _check_oracle(q, result, certified)
+        base = _exact_root(q.kind, q.rho, q.weights, 1.0 - 1e-9)
+        refined = _exact_root(q.kind, q.rho, _solved_weights(q), result.bracket[1])
+        moved = float(abs(base - refined))
+        warned = [str(w.message) for w in caught if w.category is TruncationWarning]
+        margin = 2.0 * q.tol + 1e-11
+        if moved > 10.0 * q.tol + margin:
+            assert len(warned) == 1
+            assert f"to {result.radius!r} (n_max={2 * q.n_max})" in warned[0]
+        elif moved < 10.0 * q.tol - margin:
+            assert warned == []
+        assert [w for w in caught if w.category is not TruncationWarning] == []
+
+    @settings(max_examples=60, deadline=None)
     @given(radius_queries())
-    def test_uncertified_window_evaluates_every_midpoint(self, q):
-        # with the window (0, inf) no comparison is decided without S, as in
-        # plain bisection: one evaluation per step, the check at the edge
-        # included
-        calls = []
+    def test_failed_certificate_falls_back_to_bisection(self, q):
+        # with every certificate failing, S is evaluated at the edge and at
+        # every midpoint, once per step after the Halley steps
+        calls, halley = [], []
+        sum_at, root = radii._sum_at, radii._halley_root
 
         def counted(c, e, r):
             calls.append(r)
             return sum_at(c, e, r)
 
-        sum_at = radii._sum_at
+        def counted_root(c, e):
+            halley.append(root(c, e)[1])
+            return root(c, e)
+
         q = RadiusQuery(q.rho, q.kind, q.weights, q.tol)
-        with mock.patch.object(radii, "_window", lambda c, e, total: (0.0, math.inf)), \
-                mock.patch.object(radii, "_sum_at", counted):
-            outcome = self._outcome(solve_radius, q)
-        assert outcome == self._outcome(_reference_solve, q)
-        if isinstance(outcome, RadiusResult):
-            assert len(calls) == outcome.steps
+        with mock.patch.object(radii, "_separates", lambda *args: None), \
+                mock.patch.object(radii, "_sum_at", counted), \
+                mock.patch.object(radii, "_halley_root", counted_root):
+            try:
+                result = solve_radius(q)
+            except OverflowError as exc:
+                assert _overflows(q, str(exc))
+                return
+        _check_oracle(q, result, certified=False)
+        assert len(calls) == result.steps - halley[0]
+        assert calls[0] == _EDGE
 
 
 class TestCertifiedWindow:
     @pytest.mark.parametrize("kind", ["starlike", "convex"])
     def test_class_weight_query_evaluates_s_at_most_8_times(self, kind):
+        # once at the start, once per Halley step, twice for the certificate
         cp = ClassParams(0.6, 0.2, 2.0)
         q = RadiusQuery(0.3, kind, operator_weights(cp, WrightParams(1.0, 1.0), 150))
         calls = []
@@ -465,25 +581,77 @@ class TestCertifiedWindow:
             return sum_at(c, e, r)
 
         with mock.patch.object(radii, "_sum_at", counted):
-            result = solve_radius(q)
-        assert len(calls) <= 8
-        assert result.steps >= 30
-        assert result == _reference_solve(q)
+            result, certified, _ = _outcome(q)
+        assert certified
+        assert calls == list(result.bracket)
+        assert 1 + result.steps + len(calls) <= 8
+        _check_oracle(q, result, certified)
 
     def test_window_brackets_the_root(self):
         q = RadiusQuery(0.0, "starlike", operator_weights(CP, WP, 150))
-        a, b = radii._window(*radii._terms(q.kind, q.rho, q.weights))
+        result, certified, _ = _outcome(q)
+        a, b = result.bracket
+        assert certified
         assert 0.0 < a < b < 1.0
-        assert b - a <= 3e-11 * b
+        assert b - a <= 2.1e-11 * a
         assert constraint_sum(q, a) < 1.0 < constraint_sum(q, b)
+        assert constraint_sum(q, a) == result.residual
 
     def test_overflowing_sum_is_not_certified(self):
         # every term is finite but their sum is not, so the underflow error
-        # bound fails and the loop falls back to evaluating every midpoint
+        # bound fails and the solve falls back to evaluating every midpoint
         q = RadiusQuery(0.0, "starlike", np.full(50, 3e306))
         with np.errstate(over="ignore"):
-            assert radii._window(*radii._terms(q.kind, q.rho, q.weights)) == (0.0, math.inf)
-        assert solve_radius(q) == _reference_solve(q)
+            c, e, total = radii._terms(q.kind, q.rho, q.weights)
+        r = radii._halley_root(c, e)[0]
+        assert radii._separates(c, e, total, r * (1 - 1e-11), r * (1 + 1e-11)) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, certified, _ = _outcome(q)
+        assert not certified
+        _check_oracle(q, result, certified)
+
+
+class TestFallback:
+    """Queries that the certificate cannot take, or only narrowed: the result
+    still meets the oracle within tol, and no numpy warning leaks (the
+    overflowing sum is in TestCertifiedWindow)."""
+
+    @staticmethod
+    def _solve(q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result, certified, caught = _outcome(q)
+        _check_oracle(q, result, certified)
+        return result, certified, caught
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    def test_tol_below_the_window_width(self, kind):
+        # the bracket narrows to 0.9 tol, about 2e-12 of r, and still certifies
+        for q in (single_weight_query(kind, 0.3, 2, tol=1e-12),
+                  RadiusQuery(0.3, kind, operator_weights(CP, WP, 150), tol=1e-12)):
+            result, certified, _ = self._solve(q)
+            assert certified
+            assert result.bracket[1] - result.bracket[0] <= 1e-12
+
+    def test_unconstrained(self):
+        result, certified, _ = self._solve(RadiusQuery(0.0, "starlike", np.array([1e-12])))
+        assert result.unconstrained and not certified
+        assert result.residual == pytest.approx(3e-12 * _EDGE**2, rel=1e-12)
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_certificate_that_always_fails(self, with_model):
+        model = lambda k: operator_weights(CP, WP, k)
+        q = RadiusQuery(0.3, "convex", model(40), 1e-9,
+                        weight_model=model if with_model else None)
+        with mock.patch.object(radii, "_separates", lambda *args: None):
+            result, certified, caught = self._solve(q)
+            sizes = TestSolveRadius._solved_sizes(q)
+        assert sizes == ([80, 40] if with_model else [40])
+        assert not certified
+        assert result.steps >= 31
+        # with a model the solve at n_max ran too; the radii agree, no warning
+        assert caught == []
 
 
 class TestExtremalCurve:
