@@ -202,20 +202,15 @@ def _halley_root(c: np.ndarray, e: np.ndarray) -> tuple[float, int]:
     """
     r0 = min(float(np.minimum.reduce(c ** (-1.0 / e))), _EDGE)
     b = c * r0**e
-    s = float(np.add.reduce(b))
+    w, s = b, float(np.add.reduce(b))  # the terms b x**e and their sum at x = 1
     if not s > 0.0 or abs(math.log(s)) <= _START_TOL:
         return r0, 0
-    be = b * e
-    be2 = be * e
+    e2 = e * e
     x = 1.0
     for steps in range(1, _ROOT_CAP + 1):
-        p = x**e
-        s = float(np.dot(b, p))
-        if not s > 0.0:
-            break
         f = math.log(s)
-        d1 = float(np.dot(be, p)) / s
-        d2 = float(np.dot(be2, p)) / s
+        d1 = float(np.dot(w, e)) / s
+        d2 = float(np.dot(w, e2)) / s
         step = f / d1
         halley = 1.0 - f * (d2 - d1 * d1) / (2.0 * d1 * d1)
         if halley >= 0.5:
@@ -223,6 +218,10 @@ def _halley_root(c: np.ndarray, e: np.ndarray) -> tuple[float, int]:
         x, last = min(x * math.exp(-step), 1.0), x
         # the cap holds x at 1 when the root lies at or past r0 = _EDGE
         if abs(step) <= _ROOT_STOP or x == last:
+            break
+        w = b * x**e
+        s = float(np.add.reduce(w))
+        if not s > 0.0:
             break
     return r0 * x, steps
 

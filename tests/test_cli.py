@@ -255,16 +255,25 @@ class TestRadiusCommand:
         code, _, _ = run(capsys, "radius", "star", "--rho", "0")
         assert code == 2
 
-    @pytest.mark.parametrize("tol", ["inf", "2"])
+    TOL_ERRORS = {
+        "1e-13": "tol must be at least 1e-12",
+        **dict.fromkeys(("0", "-1", "nan"), "tol must be positive"),
+        **dict.fromkeys(("0.5", "inf", "2"), "tol must be finite and below 0.5"),
+    }
+
+    @pytest.mark.parametrize("tol", TOL_ERRORS)
     def test_tol_past_the_bracket_exits_2(self, capsys, tol):
-        # such a tol once stopped the bisection before its first halving and
-        # printed the bracket [0, 1 - 1e-9] as a radius of 0.0 with exit 0
-        code, out, err = run(
-            capsys, "radius", "star", "--rho", "0", "--extremal-n", "1", "--tol", tol
-        )
-        assert code == 2
-        assert out == ""
-        assert "tol must be finite and below 0.5" in err
+        # a tol of 0.5 or more once stopped the bisection before its first
+        # halving and printed the bracket [0, 1 - 1e-9] as a radius of 0.0
+        # with exit 0
+        for source in (
+            ["--extremal-n", "1"],
+            ["--theta", "0", "--lam", "0.2", "--gamma", "2", "--alpha", "0", "--beta", "1"],
+        ):
+            code, out, err = run(capsys, "radius", "star", "--rho", "0", "--tol", tol, *source)
+            assert code == 2
+            assert out == ""
+            assert self.TOL_ERRORS[tol] in err
 
     RADIUS_SOURCES = st.one_of(
         st.integers(1, 40).map(lambda k: ["--extremal-n", str(k)]),
@@ -296,18 +305,6 @@ class TestRadiusCommand:
         assert radius == lo <= hi
         assert hi - lo <= tol
         assert "Traceback" not in err.getvalue()
-
-    @pytest.mark.parametrize("tol", ["1e-13", "0", "-1", "nan", "0.5", "inf"])
-    @pytest.mark.parametrize(
-        "source",
-        [["--extremal-n", "2"],
-         ["--theta", "0", "--lam", "0.2", "--gamma", "2", "--alpha", "0", "--beta", "1"]],
-    )
-    def test_tol_out_of_range_exits_2(self, capsys, tol, source):
-        code, out, err = run(capsys, "radius", "star", "--tol", tol, *source)
-        assert code == 2
-        assert out == ""
-        assert "tol must be" in err
 
     def test_curve_builds_class_weights_once_per_truncation(self, capsys, monkeypatch):
         from functools import lru_cache
