@@ -96,6 +96,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _operator_fields(args) -> str:
+    """The class and kernel parameters as ``# params:`` fields."""
+    return (
+        f"theta={_fmt(args.theta)} lam={_fmt(args.lam)} gamma={_fmt(args.gamma)} "
+        f"alpha={_fmt(args.alpha)} beta={_fmt(args.beta)}"
+    )
+
+
 def _class_params(args) -> bounds_mod.ClassParams:
     return bounds_mod.ClassParams(
         args.theta, args.lam, args.gamma, relaxed=getattr(args, "relaxed", False)
@@ -161,9 +169,7 @@ def cmd_bounds(args) -> int:
     rec = bounds_mod.bound_sequence_recursive(cp, wp, args.n_max)
     clo = bounds_mod.bound_sequence_closed(cp, wp, args.n_max)
     print(
-        f"# params: theta={_fmt(args.theta)} lam={_fmt(args.lam)} "
-        f"gamma={_fmt(args.gamma)} alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} "
-        f"n_max={args.n_max} relaxed={args.relaxed}"
+        f"# params: {_operator_fields(args)} n_max={args.n_max} relaxed={args.relaxed}"
     )
     print("n,A_n_recursive,A_n_closed,rel_diff")
     for n in range(1, args.n_max + 1):
@@ -251,8 +257,7 @@ def cmd_member(args) -> int:
     grid = _grid(args)
     f = read_coefficient_csv(args.coeffs)
     param_line = (
-        f"theta={_fmt(args.theta)} lam={_fmt(args.lam)} gamma={_fmt(args.gamma)} "
-        f"alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} coeffs={args.coeffs} "
+        f"{_operator_fields(args)} coeffs={args.coeffs} "
         f"grid={grid.radii}x{grid.angles}x{_fmt(grid.r_max)} tol={_fmt(args.tol)}"
     )
 
@@ -314,11 +319,7 @@ def cmd_generate(args) -> int:
     w = parse_schwarz(args.schwarz)
     f = member_mod.schwarz_generate(cp, wp, w, args.n_max)
     check = bounds_mod.coefficient_bound_check(f, cp, wp)
-    param_line = (
-        f"theta={_fmt(args.theta)} lam={_fmt(args.lam)} gamma={_fmt(args.gamma)} "
-        f"alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} schwarz={args.schwarz} "
-        f"n_max={args.n_max}"
-    )
+    param_line = f"{_operator_fields(args)} schwarz={args.schwarz} n_max={args.n_max}"
     if args.out:
         with open(args.out, "w") as handle:
             write_coefficient_csv(handle, f, param_line)
@@ -358,11 +359,7 @@ def cmd_verify_identities(args) -> int:
             functions.append(
                 (f"random_{i}", member_mod.SchwarzFunction(np.r_[0j, raw]))
             )
-    print(
-        f"# params: theta={_fmt(args.theta)} lam={_fmt(args.lam)} "
-        f"gamma={_fmt(args.gamma)} alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} "
-        f"n_max={args.n_max} seed={get_seed()}"
-    )
+    print(f"# params: {_operator_fields(args)} n_max={args.n_max} seed={get_seed()}")
     print("schwarz,power,residual_abs")
     for label, w in functions:
         f = member_mod.schwarz_generate(cp, wp, w, args.n_max)

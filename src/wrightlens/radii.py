@@ -12,13 +12,13 @@ strictly increasing in r, so the supremum of the feasible set is either the
 whole punctured disk or the unique root of S(r) = 1.
 
 Halley steps on log S against log r (about 3.5 for class weights, none for a
-single term) estimate the root r; two evaluations of S certify that the
-exact sum of the float terms lies below 1 at r(1 - 1e-11) and above 1 at
-r(1 + 1e-11), and the solver returns that bracket, its lower end as the
-radius.  A query so evaluates S once at the start, once per Halley step and
-twice for the certificate.  When the certificate fails (an overflowing sum,
-a root at or past the edge 1 - 1e-9, a tol too small to certify) S is
-evaluated at the edge and at every midpoint of a plain bisection.
+single term) estimate the root r, until two evaluations of S certify that
+the exact sum of the float terms lies below 1 at r(1 - 1e-11) and above 1 at
+r(1 + 1e-11); the solver returns that bracket, its lower end as the radius.
+A query so evaluates S once at the start, once per Halley step and twice for
+the certificate.  A bracket that reaches the edge 1 - 1e-9 ends there, and
+one more evaluation of S at the edge either stands in for its upper end or,
+at most 1, finds no root inside the disk.
 
 With a weight model the query is solved at twice the truncation, and the
 solve at the given truncation runs only when two more evaluations of S cannot
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, TruncationWarning
+from .errors import ConvergenceError, ParameterError, TruncationWarning
 from .laurent import GridSpec, LaurentSeries, _first_tied, _grid_ratio, z_derivative
 
 __all__ = [
@@ -55,11 +55,10 @@ KINDS = ("starlike", "convex")
 _EDGE = 1.0 - 1e-9
 _MIN_TOL = 1e-12
 _MAX_TOL = 0.5
-_MAX_BISECT = 400
 # Relative error bound of _sum_at, half-width of the certified bracket, and
 # the root iteration's start test, stop size and cap (see _separates and
-# _halley_root).  A Halley step of at most _ROOT_STOP in log r leaves an
-# error of order its cube, far inside the bracket.
+# _solve).  A Halley step of at most _ROOT_STOP in log r leaves an error of
+# order its cube, far inside the bracket.
 _KAPPA = 1e-13
 _WINDOW = 1e-11
 _START_TOL = 1e-14
@@ -89,9 +88,9 @@ class RadiusQuery:
     ``weights[n-1]`` multiplies r^{n+1}.  When ``weight_model`` is given it
     must return the first k weights for any k; the solver uses it to re-solve
     at twice the truncation and flag unconverged tails; its weights pass the
-    same checks as ``weights``.  ``tol`` must lie in [1e-12, 0.5).  An
-    infinite weight (one past the double range) is reported by the solver as
-    :class:`OverflowError` naming its index.
+    same checks as ``weights`` and must number k.  ``tol`` must lie in
+    [1e-12, 0.5).  An infinite weight (one past the double range) is
+    reported by the solver as :class:`OverflowError` naming its index.
     """
 
     rho: float
@@ -112,7 +111,7 @@ class RadiusQuery:
         if self.tol < _MIN_TOL:
             raise ParameterError(f"tol must be at least {_MIN_TOL}, got {self.tol!r}")
         if not self.tol < _MAX_TOL:
-            # with tol >= _EDGE the bisection would stop before its first halving
+            # from 0.5 on a tol bounds neither a radius nor the 10 tol warning
             raise ParameterError(
                 f"tol must be finite and below {_MAX_TOL}, got {self.tol!r}"
             )
@@ -130,13 +129,14 @@ class RadiusResult:
     """Solved radius with its bracket, truncation, and constraint residual.
 
     ``bracket`` holds the root of S(r) = 1 for the exact sum of the float
-    terms and is at most tol wide: r(1 -+ 1e-11) around the root estimate r
-    when certified, else bisection's.  ``radius`` is its lower end and
-    ``residual`` the S there.  ``unconstrained`` marks the case where the
-    constraint never reaches 1 inside the disk; the radius is then pinned
-    just below 1.  ``steps`` counts the Halley steps plus, when the
-    certificate fails, the check at the edge and each bisection halving; S
-    is evaluated at most ``steps + 3`` times.
+    terms and is at most tol wide: r(1 -+ 1e-11), or r -+ 0.45 tol, around
+    the root estimate r.  An upper end that would pass the edge 1 - 1e-9 is
+    the edge, where only the float S exceeds 1.  ``radius`` is its lower end
+    and ``residual`` the S there.  ``unconstrained`` marks the case where the
+    float S never exceeds 1 inside the disk; the radius and both ends are
+    then pinned at the edge.  ``steps`` counts the Halley steps; when the
+    first certificate holds S is evaluated at most ``steps + 3`` times, or
+    ``steps + 4`` for a bracket that ends at the edge.
     """
 
     radius: float
@@ -166,8 +166,8 @@ def _terms(
     Callers run this and every helper below under one
     ``np.errstate(over="ignore", divide="ignore")``.  A c_n past the double
     range raises :class:`OverflowError` naming the first such n: with
-    c_n = inf, S(r) turns nan once r**e_n underflows, and the bisection would
-    read that as S <= 1.  The sum of finite terms overflowing to inf is a
+    c_n = inf, S(r) turns nan once r**e_n underflows, which a comparison
+    with 1 reads as S <= 1.  The sum of finite terms overflowing to inf is a
     correct S > 1.  Every c_n is nonnegative, so only an infinite total needs
     the elementwise scan.
     """
@@ -187,66 +187,34 @@ def _sum_at(c: np.ndarray, e: np.ndarray, r: float) -> float:
     return float(np.add.reduce(c * r**e))
 
 
-def _halley_root(c: np.ndarray, e: np.ndarray) -> tuple[float, int]:
-    """(r, steps): an approximate root of S(r) = 1 after ``steps`` Halley
-    steps on log S against log r.
-
-    At r0 = min(c_n^(-1/e_n), _EDGE) every term is at most 1 (a zero c_n
-    gives an infinite candidate, which the minimum skips).  With b = c r0**e
-    and r = r0 x, S = sum b x**e; the iterate x stays at most 1, so no term
-    exceeds 1 and nothing overflows.  log S is convex in log r with slope at
-    least 2, so from r0 the Newton step, at most |log S| / 2, never passes
-    the root; Halley's correction 1 - f f''/(2 f'^2) is used only while it
-    is at least 1/2, which keeps a step within |log S|.  So r0 is returned
-    unchanged when |log S(r0)| <= _START_TOL, as for a single term.
-    """
-    r0 = min(float(np.minimum.reduce(c ** (-1.0 / e))), _EDGE)
-    b = c * r0**e
-    w, s = b, float(np.add.reduce(b))  # the terms b x**e and their sum at x = 1
-    if not s > 0.0 or abs(math.log(s)) <= _START_TOL:
-        return r0, 0
-    e2 = e * e
-    x = 1.0
-    for steps in range(1, _ROOT_CAP + 1):
-        f = math.log(s)
-        d1 = float(np.dot(w, e)) / s
-        d2 = float(np.dot(w, e2)) / s
-        step = f / d1
-        halley = 1.0 - f * (d2 - d1 * d1) / (2.0 * d1 * d1)
-        if halley >= 0.5:
-            step /= halley
-        x, last = min(x * math.exp(-step), 1.0), x
-        # the cap holds x at 1 when the root lies at or past r0 = _EDGE
-        if abs(step) <= _ROOT_STOP or x == last:
-            break
-        w = b * x**e
-        s = float(np.add.reduce(w))
-        if not s > 0.0:
-            break
-    return r0 * x, steps
-
-
 def _separates(
     c: np.ndarray, e: np.ndarray, total: float, a: float, b: float
 ) -> float | None:
     """_sum_at(a) when it and _sum_at(b) certify that the exact sum of the
-    terms is below 1 at a and above 1 at b; None otherwise.
+    terms is below 1 at a and above 1 at b; None otherwise.  At b = _EDGE the
+    float comparison _sum_at(b) > 1 stands in for the upper end.
 
-    _sum_at is within _KAPPA * max(S, 1) of the exact sum of its terms, with
-    room to spare: every term is nonnegative, pow and the product add an ulp
-    or two per term, numpy's pairwise sum adds O(u log n) of S (Higham,
+    _sum_at is within _KAPPA * max(S, 1) + t of the exact sum of its terms,
+    with room to spare: every term is nonnegative, pow and the product add an
+    ulp or two per term, numpy's pairwise sum adds O(u log n) of S (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 4.2),
-    and a power that underflows adds at most c_n * 2**-1074, under 1e-15 in
-    all while total = sum(c) is finite.  The exact S is increasing, so
-    _sum_at(a) <= 1 - 3 kappa keeps it below 1 - 2 kappa, and _sum_at below
-    1, at every r <= a; _sum_at(b) >= 1 + 3 kappa keeps both above 1 at
-    every r >= b.  The root of the exact sum then lies in (a, b).
+    and powers that underflow add at most t = sum(c) * 2**-1074: under 1e-15,
+    inside _KAPPA, while total = sum(c) is finite, else summed from the
+    scaled terms.  The exact S is increasing, so _sum_at(a) <= 1 - 3 kappa - t
+    keeps it below 1 - 2 kappa, and _sum_at below 1, at every r <= a;
+    _sum_at(b) >= 1 + 3 kappa + t keeps both above 1 at every r >= b.  The
+    root of the exact sum then lies in (a, b).
     """
-    if not (math.isfinite(total) and 0.0 < a < b < _EDGE):
+    if not 0.0 < a < b <= _EDGE:
         return None
+    margin = 3.0 * _KAPPA
+    if not math.isfinite(total):
+        margin += float(np.add.reduce(c * 2.0**-1074))
     s_a = _sum_at(c, e, a)
-    if s_a <= 1.0 - 3.0 * _KAPPA and _sum_at(c, e, b) >= 1.0 + 3.0 * _KAPPA:
-        return s_a
+    if s_a <= 1.0 - margin:
+        s_b = _sum_at(c, e, b)
+        if s_b >= 1.0 + margin or (b == _EDGE and s_b > 1.0):
+            return s_a
     return None
 
 
@@ -261,34 +229,54 @@ def constraint_sum(q: RadiusQuery, r: float) -> float:
 
 def _solve(c: np.ndarray, e: np.ndarray, total: float, tol: float) -> RadiusResult:
     """Root of S(r) = sum c * r**e = 1 for the terms of :func:`_terms`, under
-    the same ``np.errstate``: the bracket r -+ h around the Halley root r,
-    h = _WINDOW * r or 0.45 tol (b - a <= tol after rounding), when
-    :func:`_separates` certifies it; else the edge check and plain bisection.
+    the same ``np.errstate``: Halley steps on log S against log r until
+    :func:`_separates` certifies the bracket r -+ h around the iterate r,
+    h = _WINDOW * r or 0.45 tol (b - a <= tol after rounding), tried at r0
+    when S(r0) <= 1 or |log S(r0)| <= _START_TOL (a single term) and after
+    each step of at most _ROOT_STOP.  An upper end past _EDGE is _EDGE,
+    where a float S <= 1 means unconstrained.
+
+    At r0 = min(c_n^(-1/e_n), _EDGE) every term is at most 1 (a zero c_n
+    gives an infinite candidate, which the minimum skips).  With b = c r0**e
+    and r = r0 x, S = sum b x**e; the iterate x stays at most 1, so no term
+    exceeds 1 and nothing overflows, and from S(r0) <= 1 no step moves x.
+    log S is convex in log r with slope at least 2, so from r0 the Newton
+    step, at most |log S| / 2, never passes the root; Halley's correction
+    1 - f f''/(2 f'^2) is used only while it is at least 1/2, which keeps a
+    step within |log S| and S above 1/S(r0) > 0.
     """
-    r, steps = _halley_root(c, e)
-    h = min(_WINDOW * r, 0.45 * tol)
-    a, b = r - h, r + h
-    s_a = _separates(c, e, total, a, b)
-    if s_a is not None:
-        return RadiusResult(a, (a, b), len(c), s_a, False, steps)
-    steps += 1
-    s_edge = _sum_at(c, e, _EDGE)
-    if s_edge <= 1.0:
-        return RadiusResult(_EDGE, (_EDGE, _EDGE), len(c), s_edge, True, steps)
-    lo, hi, s_lo = 0.0, _EDGE, 0.0
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol and abs(s_lo - 1.0) <= 10.0 * tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
+    r0 = min(float(np.minimum.reduce(c ** (-1.0 / e))), _EDGE)
+    b = c * r0**e
+    w, s = b, float(np.add.reduce(b))  # the terms b x**e and their sum at x = 1
+    x, steps = 1.0, 0
+    settled = s <= 1.0 or abs(math.log(s)) <= _START_TOL
+    while True:
+        if settled:
+            r = r0 * x
+            h = min(_WINDOW * r, 0.45 * tol)
+            lo, hi = r - h, min(r + h, _EDGE)
+            if hi == _EDGE and (s_edge := _sum_at(c, e, _EDGE)) <= 1.0:
+                return RadiusResult(_EDGE, (_EDGE, _EDGE), len(c), s_edge, True, steps)
+            s_lo = _separates(c, e, total, lo, hi)
+            if s_lo is not None:
+                return RadiusResult(lo, (lo, hi), len(c), s_lo, False, steps)
+        if steps == _ROOT_CAP:
+            raise ConvergenceError(f"no certified radius after {steps} Halley steps")
+        if s is None:
+            w = b * x**e
+            s = float(np.add.reduce(w))
+        if steps == 0:
+            e2 = e * e
         steps += 1
-        s_mid = _sum_at(c, e, mid)
-        if s_mid > 1.0:
-            hi = mid
-        else:
-            lo, s_lo = mid, s_mid
-    return RadiusResult(lo, (lo, hi), len(c), s_lo, False, steps)
+        f = math.log(s)
+        d1 = float(np.dot(w, e)) / s
+        d2 = float(np.dot(w, e2)) / s
+        step = f / d1
+        halley = 1.0 - f * (d2 - d1 * d1) / (2.0 * d1 * d1)
+        if halley >= 0.5:
+            step /= halley
+        x = min(x * math.exp(-step), 1.0)
+        settled, s = abs(step) <= _ROOT_STOP, None
 
 
 def solve_radius(q: RadiusQuery) -> RadiusResult:
@@ -303,8 +291,8 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
     The solve at n_max runs only when the warning could fire.  With r the
     doubled radius, when :func:`_separates` certifies the n_max sum at
     r - 8*tol and r + 8*tol, the float S of that sum is at most 1 left of
-    the interval and above 1 right of it, so either path of that solve
-    would return a radius within 9*tol of r.
+    the interval and above 1 right of it, so that solve would return a
+    radius within 9*tol of r.
     """
     with np.errstate(over="ignore", divide="ignore"):
         # before the model is called: an overflowing term at n_max raises first
@@ -315,6 +303,10 @@ def solve_radius(q: RadiusQuery) -> RadiusResult:
             return _solve(c, e, total, q.tol)
     # outside the errstate: the model's own floating-point warnings stay its own
     doubled = _checked_weights(q.weight_model(2 * q.n_max))
+    if len(doubled) != 2 * q.n_max:
+        raise ParameterError(
+            f"weight_model must return {2 * q.n_max} weights, got {len(doubled)}"
+        )
     with np.errstate(over="ignore", divide="ignore"):
         refined = _solve(*_terms(q.kind, q.rho, doubled), q.tol)
         r, margin = refined.radius, 8.0 * q.tol
@@ -356,7 +348,10 @@ def extremal_curve(kind: str, rho_samples, dominant_n: int) -> np.ndarray:
     if dominant_n < 1:
         raise ParameterError(f"dominant_n must be >= 1, got {dominant_n!r}")
     rho = np.asarray(rho_samples, dtype=float)
-    if np.any((rho < 0.0) | (rho >= 1.0)):
+    if rho.ndim > 1:
+        raise ParameterError("rho samples must be a number or a vector")
+    # a nan fails both comparisons
+    if not np.all((rho >= 0.0) & (rho < 1.0)):
         raise ParameterError("rho samples must lie in [0, 1)")
     m = _multipliers(kind, rho, np.float64(dominant_n))
     return np.column_stack([rho, m ** (-1.0 / (dominant_n + 1))])

@@ -244,6 +244,18 @@ class TestRadiusCommand:
         assert "exceeds the floating-point range at n=1" in err
         assert "encountered" not in err and "warning" not in err
 
+    def test_uncertified_root_exits_3(self, capsys, monkeypatch):
+        # a certificate that never holds ends the Halley steps at their cap
+        from wrightlens import radii
+
+        monkeypatch.setattr(radii, "_separates", lambda *args: None)
+        code, out, err = run(capsys, "radius", "star", "--rho", "0", "--extremal-n", "3")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: no certified radius after {radii._ROOT_CAP} Halley steps"
+        ]
+
     def test_weights_file_without_weights_exits_5(self, capsys, tmp_path):
         path = tmp_path / "weights.csv"
         path.write_text("n,weight\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wrightlens import (
     ClassParams,
+    ConvergenceError,
     LaurentSeries,
     ParameterError,
     RadiusQuery,
@@ -60,7 +61,7 @@ class TestConstraintSum:
 
     def test_matches_direct_formula_bit_for_bit(self):
         # the product order (m*w)*r**(n+1) and numpy's pairwise sum fix every
-        # comparison S(mid) > 1 of the bisection, and with it the radii
+        # comparison of S with 1 in the certificate, and with it the radii
         rng = np.random.default_rng(5)
         for kind in ("starlike", "convex"):
             for n_max in (1, 7, 150, 400):
@@ -163,13 +164,12 @@ class TestSolveRadius:
 
     @pytest.mark.parametrize("tol", [math.inf, 2.0, 0.5])
     def test_tol_past_the_bracket_rejected(self, tol):
-        # tol >= 1 - 1e-9 would stop the loop before its first halving
         with pytest.raises(ParameterError, match="finite and below 0.5"):
             solve_radius(RadiusQuery(0.0, "starlike", np.array([1.0]), tol=tol))
 
     def test_huge_weights_do_not_break_bracketing(self):
-        # the constraint overflows to inf near r=1; inf compares as > 1, so
-        # bisection steers the bracket down and still lands on the root
+        # terms near the double range: the Halley steps run on the scaled
+        # terms c r0**e, each at most 1
         q = RadiusQuery(0.0, "starlike", np.full(50, 1e305))
         result = solve_radius(q)
         assert 0.0 <= result.radius < 1.0
@@ -223,6 +223,7 @@ class TestSolveRadius:
             (lambda k: np.r_[np.ones(k - 1), math.nan], "weights must be nonnegative numbers"),
             (lambda k: np.ones((k, 2)), "weights must be a non-empty vector"),
             (lambda k: np.zeros(0), "weights must be a non-empty vector"),
+            (lambda k: np.ones(3), "weight_model must return 4 weights, got 3"),
         ],
     )
     def test_invalid_model_weights_rejected(self, doubled, message):
@@ -240,9 +241,9 @@ class TestSolveRadius:
         with pytest.raises(OverflowError, match="n=574"):
             solve_radius(q)
 
-    def test_steps_count_root_and_bisection_steps(self):
-        # one Halley step, held at the edge by the cap, then the check there
-        assert solve_radius(RadiusQuery(0.0, "starlike", np.array([1e-12]))).steps == 2
+    def test_steps_count_halley_steps(self):
+        # S <= 1 at the start r0 = 1 - 1e-9: no step, one check at the edge
+        assert solve_radius(RadiusQuery(0.0, "starlike", np.array([1e-12]))).steps == 0
         # the start c^(-1/e) of a single term is its root: no Halley step
         assert solve_radius(single_weight_query("starlike", 0.0, 1)).steps == 0
         q = RadiusQuery(0.3, "convex", operator_weights(CP, WP, 150))
@@ -284,10 +285,10 @@ class TestSolveRadius:
 
 
 _EDGE = 1.0 - 1e-9
-# Float error of S, relative to the root, that a fallback bisection's
-# comparisons S(mid) > 1 can make: S within 1e-13 of its exact sum, and
+# Float error of S, relative to the root, that the comparisons of S with 1
+# at the edge can make: S within 1e-13 of its exact sum, and
 # d log S / d log r >= 2
-_FALLBACK_SLACK = 1e-12
+_EDGE_SLACK = 1e-12
 
 
 def _solved_weights(q: RadiusQuery) -> np.ndarray:
@@ -352,47 +353,37 @@ def _newton(terms, start):
 
 
 def _outcome(q: RadiusQuery):
-    """(result, certified, warnings) of solve_radius, or the OverflowError's
-    text; ``certified`` is the first certificate's verdict, the one on the
-    terms of the returned result."""
-    verdicts = []
-    separates = radii._separates
-
-    def recorded(*args):
-        s_a = separates(*args)
-        verdicts.append(s_a is not None)
-        return s_a
-
-    with warnings.catch_warnings(record=True) as caught, \
-            mock.patch.object(radii, "_separates", recorded):
+    """(result, warnings) of solve_radius, or the OverflowError's text."""
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = solve_radius(q)
         except OverflowError as exc:
-            return str(exc), None, caught
-    return result, verdicts[0], caught
+            return str(exc), caught
+    return result, caught
 
 
-def _check_oracle(q: RadiusQuery, result: RadiusResult, certified: bool):
-    """radius <= root <= bracket_hi for the exact root of the returned terms;
-    at most 2e-11 of it below on the certified path, tol on the fallback.
-    Returns that root."""
+def _check_oracle(q: RadiusQuery, result: RadiusResult):
+    """radius <= root <= bracket_hi for the exact root of the returned terms,
+    at most 2e-11 of it below; up to the float error of S at the edge when
+    the result is unconstrained or its bracket ends there.  Returns that
+    root."""
     lo, hi = result.bracket
     assert result.radius == lo <= hi
     assert hi - lo <= q.tol
     assert result.truncation_used == len(_solved_weights(q))
     root = _exact_root(q.kind, q.rho, _solved_weights(q), max(hi, 1e-300))
     if result.unconstrained:
-        assert root >= _EDGE * (1.0 - _FALLBACK_SLACK)
+        assert root >= _EDGE * (1.0 - _EDGE_SLACK)
         assert lo == hi == _EDGE
         return root
-    if certified:
+    if hi < _EDGE:
         assert lo <= root <= hi
         assert root - lo <= 2.1e-11 * root
         assert result.residual < 1.0
     else:
-        assert lo * (1.0 - _FALLBACK_SLACK) <= root <= hi * (1.0 + _FALLBACK_SLACK)
-        assert root - lo <= q.tol + _FALLBACK_SLACK * root
+        assert lo * (1.0 - _EDGE_SLACK) <= root <= hi * (1.0 + _EDGE_SLACK)
+        assert root - lo <= q.tol + _EDGE_SLACK * root
         assert result.residual <= 1.0
     return root
 
@@ -503,11 +494,11 @@ class TestRootOracle:
 
     @staticmethod
     def _meets_the_oracle(q):
-        result, certified, _ = _outcome(q)
+        result, _ = _outcome(q)
         if isinstance(result, str):
             assert _overflows(q, result)
         else:
-            _check_oracle(q, result, certified)
+            _check_oracle(q, result)
 
     @settings(max_examples=300, deadline=None)
     @given(radius_queries())
@@ -524,11 +515,11 @@ class TestRootOracle:
     def test_truncation_warnings_match_the_oracle(self, q):
         # each radius lies at most tol (plus float slack) below its root, so
         # the 10*tol rule is decided by the two roots up to about 2*tol
-        result, certified, caught = _outcome(q)
+        result, caught = _outcome(q)
         if isinstance(result, str):
             assert _overflows(q, result)
             return
-        refined = _check_oracle(q, result, certified)
+        refined = _check_oracle(q, result)
         base = _exact_root(q.kind, q.rho, q.weights, result.bracket[1])
         moved = float(abs(base - refined))
         warned = [str(w.message) for w in caught if w.category is TruncationWarning]
@@ -539,35 +530,6 @@ class TestRootOracle:
         elif moved < 10.0 * q.tol - margin:
             assert warned == []
         assert [w for w in caught if w.category is not TruncationWarning] == []
-
-    @settings(max_examples=100, deadline=None)
-    @given(radius_queries())
-    def test_failed_certificate_falls_back_to_bisection(self, q):
-        # with every certificate failing, S is evaluated at the edge and at
-        # every midpoint, once per step after the Halley steps
-        calls, halley = [], []
-        sum_at, root = radii._sum_at, radii._halley_root
-
-        def counted(c, e, r):
-            calls.append(r)
-            return sum_at(c, e, r)
-
-        def counted_root(c, e):
-            halley.append(root(c, e)[1])
-            return root(c, e)
-
-        q = RadiusQuery(q.rho, q.kind, q.weights, q.tol)
-        with mock.patch.object(radii, "_separates", lambda *args: None), \
-                mock.patch.object(radii, "_sum_at", counted), \
-                mock.patch.object(radii, "_halley_root", counted_root):
-            try:
-                result = solve_radius(q)
-            except OverflowError as exc:
-                assert _overflows(q, str(exc))
-                return
-        _check_oracle(q, result, certified=False)
-        assert len(calls) == result.steps - halley[0]
-        assert calls[0] == _EDGE
 
 
 class TestCertifiedWindow:
@@ -584,77 +546,106 @@ class TestCertifiedWindow:
             return sum_at(c, e, r)
 
         with mock.patch.object(radii, "_sum_at", counted):
-            result, certified, _ = _outcome(q)
-        assert certified
+            result, _ = _outcome(q)
         assert calls == list(result.bracket)
         assert 1 + result.steps + len(calls) <= 8
-        _check_oracle(q, result, certified)
+        _check_oracle(q, result)
 
     def test_window_brackets_the_root(self):
         q = RadiusQuery(0.0, "starlike", operator_weights(CP, WP, 150))
-        result, certified, _ = _outcome(q)
+        result, _ = _outcome(q)
         a, b = result.bracket
-        assert certified
-        assert 0.0 < a < b < 1.0
+        assert 0.0 < a < b < _EDGE
         assert b - a <= 2.1e-11 * a
         assert constraint_sum(q, a) < 1.0 < constraint_sum(q, b)
         assert constraint_sum(q, a) == result.residual
 
-    def test_overflowing_sum_is_not_certified(self):
-        # every term is finite but their sum is not, so the underflow error
-        # bound fails and the solve falls back to evaluating every midpoint
+    def test_overflowing_sum_is_certified(self):
+        # every term is finite but their sum is not; the underflow error
+        # bound sum(c) * 2**-1074 is then summed from the scaled terms
         q = RadiusQuery(0.0, "starlike", np.full(50, 3e306))
-        with np.errstate(over="ignore"):
-            c, e, total = radii._terms(q.kind, q.rho, q.weights)
-        r = radii._halley_root(c, e)[0]
-        assert radii._separates(c, e, total, r * (1 - 1e-11), r * (1 + 1e-11)) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result, certified, _ = _outcome(q)
-        assert not certified
-        _check_oracle(q, result, certified)
+            result, _ = _outcome(q)
+        assert not result.unconstrained and result.bracket[1] < _EDGE
+        assert result.steps == 0
+        # the first term 9e306 r^2 alone reaches 1 at r = 1e-153 / 3
+        root = _check_oracle(q, result)
+        assert float(root) == pytest.approx(1e-153 / 3.0, rel=1e-15)
 
 
 class TestFallback:
-    """Queries that the certificate cannot take, or only narrowed: the result
-    still meets the oracle within tol, and no numpy warning leaks (the
-    overflowing sum is in TestCertifiedWindow)."""
+    """Queries at the limits of the certificate: a tol below the window, a
+    root at or past the edge, a certificate that never holds.  No numpy
+    warning leaks (the overflowing sum is in TestCertifiedWindow)."""
 
     @staticmethod
     def _solve(q):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result, certified, caught = _outcome(q)
-        _check_oracle(q, result, certified)
-        return result, certified, caught
+            result, caught = _outcome(q)
+        _check_oracle(q, result)
+        return result, caught
 
     @pytest.mark.parametrize("kind", ["starlike", "convex"])
     def test_tol_below_the_window_width(self, kind):
         # the bracket narrows to 0.9 tol, about 2e-12 of r, and still certifies
         for q in (single_weight_query(kind, 0.3, 2, tol=1e-12),
                   RadiusQuery(0.3, kind, operator_weights(CP, WP, 150), tol=1e-12)):
-            result, certified, _ = self._solve(q)
-            assert certified
+            result, _ = self._solve(q)
+            assert result.bracket[1] < _EDGE
             assert result.bracket[1] - result.bracket[0] <= 1e-12
 
     def test_unconstrained(self):
-        result, certified, _ = self._solve(RadiusQuery(0.0, "starlike", np.array([1e-12])))
-        assert result.unconstrained and not certified
+        result, _ = self._solve(RadiusQuery(0.0, "starlike", np.array([1e-12])))
+        assert result.unconstrained
         assert result.residual == pytest.approx(3e-12 * _EDGE**2, rel=1e-12)
+
+    def test_root_next_to_the_edge(self):
+        # 3 w r^2 = 1 at r = (1 - 1e-9)(1 - 1e-13): the bracket r -+ 0.45 tol
+        # would pass the edge, so it ends there, with S(edge) > 1 in floats
+        root = _EDGE * (1.0 - 1e-13)
+        q = RadiusQuery(0.0, "starlike", np.array([1.0 / (3.0 * root * root)]), tol=1e-12)
+        result, _ = self._solve(q)
+        assert not result.unconstrained
+        assert result.bracket[1] == _EDGE
+        assert result.steps == 0
+        assert constraint_sum(q, result.radius) < 1.0 < constraint_sum(q, _EDGE)
+
+    def test_failed_certificate_takes_another_step(self):
+        # the first certificate is refused: one more Halley step, from S at
+        # the iterate, and the next certificate holds
+        q = RadiusQuery(0.3, "convex", operator_weights(CP, WP, 150))
+        separates, tried = radii._separates, []
+
+        def once(*args):
+            tried.append(args)
+            return separates(*args) if len(tried) > 1 else None
+
+        with mock.patch.object(radii, "_separates", once):
+            result, _ = self._solve(q)
+        assert len(tried) == 2
+        assert result.steps == solve_radius(q).steps + 1
+        assert result.bracket[1] < _EDGE
 
     @pytest.mark.parametrize("with_model", [False, True])
     def test_certificate_that_always_fails(self, with_model):
+        # the Halley steps go on to the cap, and the solve then gives up; with
+        # a model the doubled solve raises before the check at n_max runs
         model = lambda k: operator_weights(CP, WP, k)
         q = RadiusQuery(0.3, "convex", model(40), 1e-9,
                         weight_model=model if with_model else None)
-        with mock.patch.object(radii, "_separates", lambda *args: None):
-            result, certified, caught = self._solve(q)
-            sizes = TestSolveRadius._solved_sizes(q)
-        assert sizes == ([80, 40] if with_model else [40])
-        assert not certified
-        assert result.steps >= 31
-        # with a model the solve at n_max ran too; the radii agree, no warning
-        assert caught == []
+        sizes = []
+
+        def never(c, e, total, a, b):
+            sizes.append(len(c))
+
+        with mock.patch.object(radii, "_separates", never), pytest.raises(
+            ConvergenceError, match=f"after {radii._ROOT_CAP} Halley steps"
+        ):
+            solve_radius(q)
+        assert len(sizes) > 1
+        assert set(sizes) == {80 if with_model else 40}
 
 
 class TestExtremalCurve:
@@ -680,6 +671,10 @@ class TestExtremalCurve:
     def test_rho_domain(self):
         with pytest.raises(ParameterError):
             extremal_curve("starlike", [1.0], 1)
+        with pytest.raises(ParameterError, match=r"^rho samples must lie in \[0, 1\)$"):
+            extremal_curve("starlike", [0.2, math.nan], 1)
+        with pytest.raises(ParameterError, match="^rho samples must be a number or a vector$"):
+            extremal_curve("convex", [[0.0, 0.5]], 2)
 
 
 class TestPredicates:
