@@ -221,12 +221,17 @@ def a_of_t(cp: ClassParams, w: SchwarzFunction, t):
     t_arr = np.asarray(t, dtype=complex)
     if np.any(np.abs(t_arr) >= 1.0):
         raise ParameterError("A(t) is defined for |t| < 1")
-    shift, denom, _ = _tau_constants(cp)
+    alpha, beta = _target_line(cp)
     wt = w(t_arr)
-    tau = (1.0 + wt) / (1.0 - wt)
-    phase = cmath.exp(-1j * cp.theta)
-    out = phase * (-shift) + phase * denom * tau
+    out = alpha + beta * ((1.0 + wt) / (1.0 - wt))
     return complex(out) if t_arr.ndim == 0 else out
+
+
+def _target_line(cp: ClassParams) -> tuple[complex, complex]:
+    """(alpha, beta) with A = alpha + beta tau, as in :func:`a_of_t`."""
+    shift, denom, _ = _tau_constants(cp)
+    phase = cmath.exp(-1j * cp.theta)
+    return -phase * shift, phase * denom
 
 
 def caratheodory_series(w: SchwarzFunction, n_max: int) -> TaylorSeries:
@@ -244,26 +249,18 @@ def caratheodory_series(w: SchwarzFunction, n_max: int) -> TaylorSeries:
     return TaylorSeries(tau)
 
 
-def _ratio_target_series(cp: ClassParams, w: SchwarzFunction, n_max: int) -> np.ndarray:
-    """Taylor coefficients of A(z) through order n_max (affine in tau)."""
-    tau = caratheodory_series(w, n_max).coeffs
-    shift, denom, _ = _tau_constants(cp)
-    phase = cmath.exp(-1j * cp.theta)
-    a = phase * denom * tau
-    a[0] += phase * (-shift)
-    return a
-
-
 def _series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Power-series quotient; den[0] must be nonzero.
 
     Row n is out_n = (num_n - sum_{k>=1} den_k out_{n-k}) / den_0, accumulated
-    for k = 1, 2, ... in that order.  The multiply-accumulate runs on Python
-    ``complex``, whose product and sum round exactly as numpy's complex128
-    scalars do, so the result is bit-identical to the plain numpy-scalar loop.
-    The row division stays a numpy scalar division: Python's complex division
-    rounds differently.  Dot products, convolutions or complex array products
-    would change the rounding, so none is used here.
+    for k = 1, 2, ... in that order, so a quotient of n terms by a den of m
+    terms costs O(n*m): callers pass only the terms of den that can be
+    nonzero (1 - w in :func:`caratheodory_series`, Q(w) in
+    :func:`schwarz_generate`).  The
+    multiply-accumulate runs on Python ``complex``, whose product and sum
+    round exactly as numpy's complex128 scalars do, and the row division is a
+    numpy scalar division (Python's complex division rounds differently), so
+    the quotient is bit-identical to the plain numpy-scalar loop.
     """
     lead = den[0]
     if abs(lead) == 0.0:
@@ -294,22 +291,25 @@ def schwarz_generate(
     a_n outside the double range (phi_n underflows past the order cap)
     raises :class:`OverflowError` naming the first such index.
 
-    The recursion follows the operation order of :func:`_series_divide`:
-    products and sums on Python ``complex`` for k = 1, 2, ..., then a numpy
-    scalar division by n + 1, so every h_n carries the bits of the plain
-    numpy-scalar loop.  phi is computed first: a phi_j that underflowed to 0
-    makes a_j non-finite, so both recursions stop at order j and the error
-    names the same index as a run through n_max would.
+    A = alpha + beta tau is affine in tau = (1+w)/(1-w), so G is a Moebius
+    function of w: G = P(w)/Q(w) with
+
+        P = (1-lam) [(alpha+beta) + (beta-alpha) w],
+        Q = (1 - lam (alpha+beta)) - (1 + lam (beta-alpha)) w.
+
+    Both have len(w.coeffs) + 1 terms, so g is one O(n*m)
+    :func:`_series_divide` call, and the O(n^2) h recursion is the main
+    cost.  It multiplies and adds on Python ``complex`` for k = 1, 2, ...
+    and divides by n + 1 as a numpy scalar.  phi is computed first: a phi_j
+    that underflowed to 0 makes a_j non-finite, so the recursion stops at
+    order j and the error names the same index as a run through n_max would.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
     phi = phi_values(wp, n_max)
     zero = np.flatnonzero(phi == 0.0)
     n_stop = int(zero[0]) + 1 if zero.size else n_max
-    a = _ratio_target_series(cp, w, n_stop + 1)
-    if cp.lam == 0.0:
-        g = a
-    else:
+    if cp.lam != 0.0:
         sample = polar_grid(GridSpec(radii=8, angles=32, r_min=0.05, r_max=0.95))
         div = 1.0 - cp.lam * a_of_t(cp, w, sample)
         worst = float(np.min(np.abs(div)))
@@ -319,9 +319,14 @@ def schwarz_generate(
                 f"1 - lam*A(z) vanishes near z={bad!r} (|value| = {worst:.3e})",
                 at=bad,
             )
-        den = -cp.lam * a
-        den[0] = 1.0 - cp.lam * a[0]
-        g = _series_divide((1.0 - cp.lam) * a, den)
+    alpha, beta = _target_line(cp)
+    p = (1.0 - cp.lam) * np.concatenate(([alpha + beta], (beta - alpha) * w.coeffs))
+    q = np.concatenate(
+        ([1.0 - cp.lam * (alpha + beta)], -(1.0 + cp.lam * (beta - alpha)) * w.coeffs)
+    )
+    num = np.zeros(n_stop + 2, dtype=complex)
+    num[: p.size] = p[: num.size]
+    g = _series_divide(num, q)
     if abs(g[0] + 1.0) > _G0_TOL:
         raise ConsistencyError(
             f"forced normalization g_0 = -1 failed (got {g[0]!r}); "
