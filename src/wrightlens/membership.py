@@ -46,7 +46,6 @@ from .laurent import (
     evaluate,
     hadamard,
     lambda_mix,
-    polar_grid,
     z_derivative,
 )
 from .special import WrightParams, phi_values
@@ -252,25 +251,20 @@ def caratheodory_series(w: SchwarzFunction, n_max: int) -> TaylorSeries:
 def _series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Power-series quotient; den[0] must be nonzero.
 
-    Row n is out_n = (num_n - sum_{k>=1} den_k out_{n-k}) / den_0, accumulated
-    for k = 1, 2, ... in that order, so a quotient of n terms by a den of m
-    terms costs O(n*m): callers pass only the terms of den that can be
-    nonzero (1 - w in :func:`caratheodory_series`, Q(w) in
-    :func:`schwarz_generate`).  The
-    multiply-accumulate runs on Python ``complex``, whose product and sum
-    round exactly as numpy's complex128 scalars do, and the row division is a
-    numpy scalar division (Python's complex division rounds differently), so
-    the quotient is bit-identical to the plain numpy-scalar loop.
+    Row n is out_n = (num_n - sum_{k>=1} den_k out_{n-k}) / den_0 on Python
+    ``complex``, so a quotient of n terms by a den of m terms costs O(n*m):
+    callers pass only the terms of den that can be nonzero (1 - w in
+    :func:`caratheodory_series`, Q(w) in :func:`schwarz_generate`).
     """
-    lead = den[0]
-    if abs(lead) == 0.0:
+    lead = complex(den[0])
+    if lead == 0.0:
         raise SeriesDivisionError("series division by a series vanishing at 0")
     tail = den[1:].tolist()
     done: list[complex] = []
     for acc in num.tolist():
         for d, o in zip(tail, reversed(done)):
             acc -= d * o
-        done.append(complex(np.complex128(acc) / lead))
+        done.append(acc / lead)
     return np.array(done, dtype=complex)
 
 
@@ -286,44 +280,46 @@ def schwarz_generate(
 
     and f recovers its coefficients by dividing out the kernel: a_n =
     h_n / phi_n.  g_0 = -1 is forced by construction and is re-checked; a
-    mismatch raises :class:`ConsistencyError`.  When lam > 0 the divisor
-    1 - lam A(z) is screened for zeros on a coarse sample grid first.  An
-    a_n outside the double range (phi_n underflows past the order cap)
-    raises :class:`OverflowError` naming the first such index.
+    mismatch raises :class:`ConsistencyError`.  An a_n outside the double
+    range (phi_n underflows past the order cap) raises
+    :class:`OverflowError` naming the first such index.
 
     A = alpha + beta tau is affine in tau = (1+w)/(1-w), so G is a Moebius
     function of w: G = P(w)/Q(w) with
 
         P = (1-lam) [(alpha+beta) + (beta-alpha) w],
-        Q = (1 - lam (alpha+beta)) - (1 + lam (beta-alpha)) w.
+        Q = q0 + q1 w,  q0 = 1 - lam (alpha+beta),  q1 = -(1 + lam (beta-alpha)).
 
-    Both have len(w.coeffs) + 1 terms, so g is one O(n*m)
+    G is analytic in the disk exactly when Q(w(z)) has no zero there, that
+    is when w(z) never takes the value w* = -q0/q1.  Since |w| < sum |c_k|
+    on the disk, |w*| >= sum |c_k| settles it (always so at lam = 0, where
+    w* = 1); otherwise a root of w(z) - w* inside the disk raises
+    :class:`SeriesDivisionError` at the root nearest the origin.
+
+    P and Q have len(w.coeffs) + 1 terms, so g is one O(n*m)
     :func:`_series_divide` call, and the O(n^2) h recursion is the main
-    cost.  It multiplies and adds on Python ``complex`` for k = 1, 2, ...
-    and divides by n + 1 as a numpy scalar.  phi is computed first: a phi_j
-    that underflowed to 0 makes a_j non-finite, so the recursion stops at
-    order j and the error names the same index as a run through n_max would.
+    cost.  phi is computed first: a phi_j that underflowed to 0 makes a_j
+    non-finite, so the recursion stops at order j and the error names the
+    same index as a run through n_max would.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max!r}")
     phi = phi_values(wp, n_max)
     zero = np.flatnonzero(phi == 0.0)
     n_stop = int(zero[0]) + 1 if zero.size else n_max
-    if cp.lam != 0.0:
-        sample = polar_grid(GridSpec(radii=8, angles=32, r_min=0.05, r_max=0.95))
-        div = 1.0 - cp.lam * a_of_t(cp, w, sample)
-        worst = float(np.min(np.abs(div)))
-        if worst < 1e-9:
-            bad = complex(sample[int(np.argmin(np.abs(div)))])
-            raise SeriesDivisionError(
-                f"1 - lam*A(z) vanishes near z={bad!r} (|value| = {worst:.3e})",
-                at=bad,
-            )
     alpha, beta = _target_line(cp)
+    q0, q1 = 1.0 - cp.lam * (alpha + beta), -(1.0 + cp.lam * (beta - alpha))
+    if abs(q0) < abs(q1) * float(np.sum(np.abs(w.coeffs))):
+        w_star = -q0 / q1
+        roots = np.roots(np.concatenate((w.coeffs[::-1], [-w_star])))
+        inside = [complex(z) for z in roots if abs(z) < 1.0]
+        if inside:
+            at = min(inside, key=lambda z: (round(abs(z), 12), -z.real, -z.imag))
+            raise SeriesDivisionError(
+                f"1 - lam*A(z) vanishes at z={at!r}, where w(z) = {w_star!r}", at=at
+            )
     p = (1.0 - cp.lam) * np.concatenate(([alpha + beta], (beta - alpha) * w.coeffs))
-    q = np.concatenate(
-        ([1.0 - cp.lam * (alpha + beta)], -(1.0 + cp.lam * (beta - alpha)) * w.coeffs)
-    )
+    q = np.concatenate(([q0], q1 * w.coeffs))
     num = np.zeros(n_stop + 2, dtype=complex)
     num[: p.size] = p[: num.size]
     g = _series_divide(num, q)
@@ -338,7 +334,7 @@ def schwarz_generate(
         acc = g[n + 1]
         for gk, hk in zip(g[n - 1 : 0 : -1], h):
             acc += gk * hk
-        h.append(complex(np.complex128(acc) / (n + 1)))
+        h.append(acc / (n + 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         coeffs = np.array(h, dtype=complex) / phi[:n_stop]
     bad = np.flatnonzero(~np.isfinite(coeffs))

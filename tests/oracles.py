@@ -10,6 +10,22 @@ import numpy as np
 DPS = 40
 
 
+def caratheodory_tau(w_coeffs, n_max):
+    """tau_0 .. tau_{n_max} of tau = (1 + w)/(1 - w) for the Schwarz
+    function w(z) = sum_k w_coeffs[k-1] z^k.
+
+    With u = 1/(1 - w), u_0 = 1 and u_n = sum_{k=1}^{min(n, m)} c_k u_{n-k};
+    then tau = 2u - 1, that is tau_0 = 1 and tau_n = 2 u_n.
+    """
+    with mpmath.workdps(DPS):
+        c = [mpmath.mpc(complex(ck)) for ck in w_coeffs]
+        u = [mpmath.mpc(1)]
+        for n in range(1, n_max + 1):
+            terms = (c[k - 1] * u[n - k] for k in range(1, min(n, len(c)) + 1))
+            u.append(mpmath.fsum(terms))
+        return np.array([1] + [complex(2 * v) for v in u[1:]], dtype=complex)
+
+
 def generator_h(theta, lam, gamma, w_coeffs, n_max):
     """h_1 .. h_{n_max} of the class member generated from the Schwarz
     function w(z) = sum_k w_coeffs[k-1] z^k, which must have w'(0) = 0.

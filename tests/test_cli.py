@@ -507,6 +507,16 @@ class TestGenerateCommand:
             "n=[12, 14, 16, 18, 20, 22, 24, 26, 28, 30] for alpha=-0.5, beta=6.0\n"
         )
 
+    def test_zero_of_q_inside_the_disk_exits_3_before_output(self, capsys):
+        # 1 - lam A vanishes at z = 0.874; this once printed all_satisfied=True
+        code, out, err = run(
+            capsys, "generate", "--theta", "0", "--lam", "0.45", "--gamma", "5",
+            "--alpha", "0", "--beta", "1", "--schwarz", "0,-0.9", "--n-max", "40",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 1 - lam*A(z) vanishes at z=(0.87400737")
+
     def test_near_extremal_first_coefficient(self, capsys, tmp_path):
         out_path = tmp_path / "coeffs.csv"
         code, out, _ = run(

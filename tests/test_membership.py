@@ -199,6 +199,8 @@ class TestRatioTarget:
 
 
 class TestSchwarzGenerate:
+    POLE_CP = ClassParams(0.0, 0.45, 5.0)
+
     def test_zero_w_gives_bare_pole_exactly(self):
         f = schwarz_generate(CP, WP, SchwarzFunction([0.0]), 8)
         assert np.all(f.coeffs == 0)
@@ -257,6 +259,44 @@ class TestSchwarzGenerate:
             lengths.clear()
             schwarz_generate(ClassParams(0.6, lam, 2.0), WP, w, 40)
             assert lengths and max(lengths) <= len(w.coeffs) + 1, (lam, lengths)
+
+    def test_zero_of_q_inside_the_disk_raises(self):
+        # Q(w) = 5.5 + 8 w vanishes at w* = -0.6875, which w = -0.9 z^2 takes
+        # at z = +-0.874; G, and with it the series, has a pole there
+        w = SchwarzFunction([0.0, -0.9])
+        with pytest.raises(SeriesDivisionError) as excinfo:
+            schwarz_generate(self.POLE_CP, WP, w, 40)
+        at = excinfo.value.at
+        assert abs(at - 0.8740073734751259) <= 1e-12
+        assert abs(1.0 - self.POLE_CP.lam * a_of_t(self.POLE_CP, w, at)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "coeffs, raises",
+        [
+            ([0.0, -0.6874], False),  # sum |c_k| < |w*|: w never reaches w*
+            ([0.0, 0.6876j], True),  # w = w* at |z| = 0.99993
+            ([0.0, 0.5, -0.3], False),  # sum |c_k| > |w*|, roots at |z| = 1.03
+            ([0.0, 0.0, 0.0, 0.7], True),  # w = w* at |z| = 0.9955
+        ],
+    )
+    def test_zero_of_q_is_located_exactly(self, coeffs, raises):
+        w = SchwarzFunction(coeffs)
+        if raises:
+            with pytest.raises(SeriesDivisionError):
+                schwarz_generate(self.POLE_CP, WP, w, 40)
+        else:
+            assert schwarz_generate(self.POLE_CP, WP, w, 40).truncation == 40
+
+    @pytest.mark.parametrize("cp", [cp for cp in class_grid() if cp.lam == 0.0])
+    def test_lam_zero_never_raises(self, cp):
+        # at lam = 0, Q = 1 - w, and |w| < 1 on the disk
+        for w in (
+            SchwarzFunction([NEAR_ONE]),
+            SchwarzFunction([0.0, -NEAR_ONE]),
+            SchwarzFunction([0.0, 0.5j, -0.4999]),
+            SchwarzFunction.monomial(1j * NEAR_ONE, 5),
+        ):
+            assert schwarz_generate(cp, WP, w, 30).truncation == 30
 
     def test_pole_propagates(self):
         from wrightlens import PoleError
@@ -497,56 +537,6 @@ def test_grid_consumers_do_not_call_evaluate(monkeypatch):
     convex_predicate(h, 0.0, 0.3, grid)
 
 
-# The generator's recursions as plain loops over numpy scalars.  The
-# library's series division runs the same operations in the same order on
-# Python complex, and must reproduce reference_series_divide and
-# reference_caratheodory bit for bit.  reference_generate divides by the full
-# 1 - lam A series; the tests use it only for the first order past the cap.
-
-
-def reference_series_divide(num, den):
-    out = np.zeros(len(num), dtype=complex)
-    for n in range(len(num)):
-        acc = num[n]
-        for k in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[k] * out[n - k]
-        out[n] = acc / den[0]
-    return out
-
-
-def reference_caratheodory(w, n_max):
-    one = np.zeros(n_max + 1, dtype=complex)
-    one[0] = 1.0
-    tau = 2.0 * reference_series_divide(one, np.concatenate(([1.0], -w.coeffs)))
-    tau[0] = 1.0
-    return tau
-
-
-def reference_generate(cp, wp, w, n_max):
-    shift, denom, _ = membership._tau_constants(cp)
-    phase = cmath.exp(-1j * cp.theta)
-    a = phase * denom * reference_caratheodory(w, n_max + 1)
-    a[0] += phase * (-shift)
-    if cp.lam == 0.0:
-        g = a
-    else:
-        den = -cp.lam * a
-        den[0] = 1.0 - cp.lam * a[0]
-        g = reference_series_divide((1.0 - cp.lam) * a, den)
-    h = np.zeros(n_max + 1, dtype=complex)
-    for n in range(1, n_max + 1):
-        acc = g[n + 1]
-        for k in range(1, n):
-            acc += g[n - k] * h[k]
-        h[n] = acc / (n + 1)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coeffs = h[1:] / phi_values(wp, n_max)
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if bad.size:
-        raise OverflowError(f"a_{bad[0] + 1} exceeds the floating-point range")
-    return coeffs
-
-
 # First order whose a_n leaves the double range, the same for every class tuple.
 ORDER_CAP = {(0.0, 1.0): 171, (1.0, 1.0): 99, (0.5, 1.5): 129}
 GRID_SCHWARZ = SchwarzFunction([0.0, 0.2 + 0.1j, -0.05j])
@@ -574,31 +564,44 @@ class TestBitIdenticalRecursions:
     @settings(max_examples=40, deadline=None)
     @given(division_inputs())
     def test_series_divide(self, inputs):
+        # backward error: out * den reproduces num row by row to a few
+        # rounding errors of the row's terms; the residual is formed in
+        # extended precision so that its own rounding stays far below that
         num, den = inputs
-        assert np.array_equal(
-            membership._series_divide(num, den), reference_series_divide(num, den)
-        )
+        out = membership._series_divide(num, den)
+        n = len(num)
+        wide = np.convolve(out.astype(np.clongdouble), den.astype(np.clongdouble))
+        residual = np.abs(wide[:n] - num)
+        scale = np.abs(num) + np.convolve(np.abs(out), np.abs(den))[:n]
+        assert np.all(residual <= 4 * (len(den) + 1) * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("n_max", [0, 1, 7, 60, 200])
     @pytest.mark.parametrize(
         "coeffs", [[0.3 - 0.2j], [0.0, 0.25, 0.15], [0.1j, -0.2, 0.05 + 0.3j]]
     )
     def test_caratheodory_series(self, coeffs, n_max):
-        w = SchwarzFunction(coeffs)
-        assert np.array_equal(
-            caratheodory_series(w, n_max).coeffs, reference_caratheodory(w, n_max)
-        )
+        got = caratheodory_series(SchwarzFunction(coeffs), n_max).coeffs
+        want = oracles.caratheodory_tau(coeffs, n_max)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("c, power", [(0.3, 2), (-0.4 + 0.2j, 3), (0.9j, 1)])
+    def test_caratheodory_oracle_matches_closed_form(self, c, power):
+        # w = c z^k gives tau = 1 + 2 sum_{j>=1} c^j z^{jk}
+        got = oracles.caratheodory_tau([0.0] * (power - 1) + [c], 30)
+        want = np.zeros(31, dtype=complex)
+        want[0] = 1.0
+        for j in range(1, 30 // power + 1):
+            want[j * power] = 2 * c**j
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("pair", WRIGHT_PAIRS)
     def test_past_cap_errors(self, pair):
         cp, wp = ClassParams(0.6, 0.2, 2.0), WrightParams(*pair)
-        message = f"a_{ORDER_CAP[pair]} exceeds the floating-point range"
-        for n in range(ORDER_CAP[pair], 201):
-            with pytest.raises(OverflowError) as want:
-                reference_generate(cp, wp, GRID_SCHWARZ, n)
-            with pytest.raises(OverflowError) as got:
+        cap = ORDER_CAP[pair]
+        for n in (cap, cap + 1, 200):
+            with pytest.raises(OverflowError) as excinfo:
                 schwarz_generate(cp, wp, GRID_SCHWARZ, n)
-            assert str(got.value) == str(want.value) == message
+            assert str(excinfo.value) == f"a_{cap} exceeds the floating-point range"
 
 
 @pytest.fixture(scope="class")
