@@ -29,6 +29,7 @@ from .errors import (
 )
 from .laurent import (
     GridSpec,
+    _divide,
     _read_indexed_csv,
     read_coefficient_csv,
     write_coefficient_csv,
@@ -262,10 +263,12 @@ def cmd_member(args) -> int:
     )
 
     check = bounds_mod.coefficient_bound_check(f, cp, wp)
-    # a vanishing denominator raises here, before any output
-    pts, tau = member_mod._grid_tau(f, cp, wp, grid)
-    report = member_mod._grid_report(pts, tau, grid, args.tol)
-    suff = member_mod.sufficiency_predicate(f, cp, wp, grid)
+    # one grid evaluation; a vanishing denominator raises here, before any output
+    pts, num, den = member_mod._grid_parts(f, cp, wp, grid)
+    ratio = _divide(num, den, pts)
+    tau = member_mod._tau_of_ratio(cp, ratio)
+    report = member_mod._membership_report(pts, tau, grid, args.tol)
+    suff = member_mod._sufficiency_report(pts, ratio, cp)
     verdict = report.verdict
     if not check.all_satisfied:
         verdict = "not_member"
@@ -284,9 +287,7 @@ def cmd_member(args) -> int:
         f"argmin_z={report.argmin_z!r}"
     )
     if args.scan:
-        scan = member_mod.convolution_scan(
-            f, cp, wp, eta_count=args.eta_count, grid=grid, tol=args.tol
-        )
+        scan = member_mod._scan_report((pts, num, den), cp, args.eta_count, args.tol)
         lines.append(
             f"# scan: min_modulus={_fmt(scan.min_modulus)} "
             f"argmin_eta={scan.argmin_eta!r} argmin_z={scan.argmin_z!r} "

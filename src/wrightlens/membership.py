@@ -40,12 +40,11 @@ from .laurent import (
     _as_coeff_array,
     _divide,
     _first_tied,
-    _grid_ratio,
     _grid_values,
     apply_operator,
     evaluate,
-    hadamard,
     lambda_mix,
+    wright_kernel,
     z_derivative,
 )
 from .special import WrightParams, phi_values
@@ -107,12 +106,12 @@ class SchwarzFunction:
         return complex(out) if z_arr.ndim == 0 else out
 
 
-def _tau_constants(cp: ClassParams) -> tuple[complex, float, float]:
-    """(numerator shift, denominator, 1-2*lam) for the tau normalization."""
+def _tau_constants(cp: ClassParams) -> tuple[complex, float]:
+    """(numerator shift, denominator) for the tau normalization."""
     one_m2 = 1.0 - 2.0 * cp.lam
     shift = -cp.gamma * math.cos(cp.theta) + 1j * math.sin(cp.theta) / one_m2
     denom = -math.cos(cp.theta) * (1.0 / one_m2 + cp.gamma)
-    return shift, denom, one_m2
+    return shift, denom
 
 
 def _ratio_parts(
@@ -125,7 +124,7 @@ def _ratio_parts(
 
 
 def _tau_of_ratio(cp: ClassParams, ratio):
-    shift, denom, _ = _tau_constants(cp)
+    shift, denom = _tau_constants(cp)
     return (cmath.exp(1j * cp.theta) * ratio + shift) / denom
 
 
@@ -140,14 +139,13 @@ def tau_transform(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
     return _tau_of_ratio(cp, _divide(evaluate(num, z), evaluate(den, z), z))
 
 
-def _grid_tau(
+def _grid_parts(
     f: LaurentSeries, cp: ClassParams, wp: WrightParams, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(polar_grid(grid), tau there)``, evaluated ring by ring (see
-    ``laurent._grid_values``).  The CLI's ``member`` builds both its verdict
-    (through :func:`_grid_report`) and its grid CSV from one call."""
-    pts, ratio = _grid_ratio(*_ratio_parts(f, cp, wp), grid)
-    return pts, _tau_of_ratio(cp, ratio)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(polar_grid(grid), zH' there, mix(H) there)``, ring by ring (see
+    ``laurent._grid_values``): membership, sufficiency and the scan read it."""
+    pts, (num, den) = _grid_values(_ratio_parts(f, cp, wp), grid)
+    return pts, num, den
 
 
 @dataclass(frozen=True)
@@ -175,14 +173,13 @@ def membership_check(
     The reported point is the first grid point tied with the minimum, as in
     :func:`convolution_scan`.  tol must be finite and nonnegative.
     """
+    pts, num, den = _grid_parts(f, cp, wp, grid)
     try:
-        pts, tau = _grid_tau(f, cp, wp, grid)
+        ratio = _divide(num, den, pts)
     except SeriesDivisionError as exc:
         _check_tol(tol)
-        return MembershipReport(
-            math.nan, exc.at, grid, "inconclusive", diagnostic=str(exc)
-        )
-    return _grid_report(pts, tau, grid, tol)
+        return MembershipReport(math.nan, exc.at, grid, "inconclusive", str(exc))
+    return _membership_report(pts, _tau_of_ratio(cp, ratio), grid, tol)
 
 
 def _check_tol(tol: float) -> None:
@@ -190,7 +187,7 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
-def _grid_report(
+def _membership_report(
     pts: np.ndarray, tau: np.ndarray, grid: GridSpec, tol: float
 ) -> MembershipReport:
     """The :func:`membership_check` verdict on tau sampled at ``pts``."""
@@ -228,7 +225,7 @@ def a_of_t(cp: ClassParams, w: SchwarzFunction, t):
 
 def _target_line(cp: ClassParams) -> tuple[complex, complex]:
     """(alpha, beta) with A = alpha + beta tau, as in :func:`a_of_t`."""
-    shift, denom, _ = _tau_constants(cp)
+    shift, denom = _tau_constants(cp)
     phase = cmath.exp(-1j * cp.theta)
     return -phase * shift, phase * denom
 
@@ -343,28 +340,13 @@ def schwarz_generate(
     return LaurentSeries(1.0, coeffs)
 
 
-def _kernel_parts(
-    cp: ClassParams, wp: WrightParams, n_max: int
-) -> tuple[LaurentSeries, LaurentSeries]:
-    """(K0, K1) with K(eta) = K0 + eta * K1; see :func:`convolution_kernel`.
-
-    With C(eta) = c_plus (1 + eta) + c_minus (1 - eta), the eta^0 part takes
-    the sign s = +1 on every (1 - eta) term and the eta^1 part s = -1.
-    """
-    theta, lam, gam = cp.theta, cp.lam, cp.gamma
-    one_m2 = 1.0 - 2.0 * lam
-    c_plus = math.cos(theta) * (1.0 + gam * one_m2)
-    c_minus = -gam * math.cos(theta) * one_m2 + 1j * math.sin(theta)
-    phase = cmath.exp(-1j * theta)
-    ph = phi_values(wp, n_max)
-    n = np.arange(1, n_max + 1)
-    deriv, mix = n * ph, (1.0 - lam + lam * n) * ph
-
-    def part(s: float) -> LaurentSeries:
-        d, m = s * one_m2, phase * (c_plus + s * c_minus)
-        return LaurentSeries(-d + m, d * deriv + m * mix)
-
-    return part(1.0), part(-1.0)
+def _kernel_weights(cp: ClassParams) -> tuple[float, complex, float, complex]:
+    """(u0, v0, u1, v1) with f * K(eta) = (u0 + eta u1) zH' + (v0 + eta v1)
+    mix(H); as R = alpha + beta tau (:func:`_target_line`), that is
+    (1-2 lam)(1-eta) beta mix(H) [tau - (1+eta)/(1-eta)]."""
+    alpha, beta = _target_line(cp)
+    s = 1.0 - 2.0 * cp.lam
+    return s, -s * (alpha + beta), -s, s * (alpha - beta)
 
 
 def convolution_kernel(
@@ -373,10 +355,13 @@ def convolution_kernel(
     """Kernel whose coefficientwise product with f must avoid zero.
 
     K(z) = (1-2 lam)(1-eta) * (-1/z + sum n phi_n z^n)
-         + e^{-i theta} C(eta) * (1/z + sum (1-lam+lam n) phi_n z^n),
+         + e^{-i theta} C(eta) * ((1-2 lam)/z + sum (1-lam+lam n) phi_n z^n),
 
     C(eta) = -gamma cos(theta)(1-2 lam)(1-eta) + i sin(theta)(1-eta)
            + (1+eta) cos(theta)(1 + gamma(1-2 lam)).
+
+    These are z k' and mix(k) of the Wright kernel k: f * K(eta) = e^{-i theta}
+    (C(1)/2) mix(H) [(1+eta) - (1-eta) tau], zero where tau = (1+eta)/(1-eta).
 
     eta must sit on the unit circle and differ from 1.
     """
@@ -385,10 +370,11 @@ def convolution_kernel(
         raise ParameterError(f"|eta| must equal 1 within {_ETA_TOL}, got {eta!r}")
     if abs(eta - 1.0) <= _ETA_TOL:
         raise ParameterError("eta = 1 is excluded")
-    k0, k1 = _kernel_parts(cp, wp, n_max)
-    return LaurentSeries(
-        k0.principal + eta * k1.principal, k0.coeffs + eta * k1.coeffs
-    )
+    u0, v0, u1, v1 = _kernel_weights(cp)
+    u, v = u0 + eta * u1, v0 + eta * v1
+    k = wright_kernel(wp, n_max)
+    d, m = z_derivative(k), lambda_mix(k, cp.lam)
+    return LaurentSeries(u * d.principal + v * m.principal, u * d.coeffs + v * m.coeffs)
 
 
 @dataclass(frozen=True)
@@ -421,20 +407,27 @@ def convolution_scan(
     counts that divide each other give nested grids.  A minimum below tol
     certifies f is outside the class; tol must be finite and nonnegative.
 
-    The kernel is affine in eta, K(eta) = K0 + eta * K1, so f * K(eta) =
-    X + eta * Y with X = f * K0 and Y = f * K1.  X and Y are evaluated on
-    the grid once (ring by ring, see ``laurent._grid_values``); each eta
-    then costs one O(points) pass over |X + eta Y|.
+    f * K(eta) = X + eta * Y, where X and Y combine zH' and mix(H) (see
+    :func:`_kernel_weights`) from the one grid evaluation of :func:`_grid_parts`,
+    with no division; each eta then costs one O(points) pass over |X + eta Y|.
     Moduli within a relative _TIE_RTOL of a minimum count as tied (for an
     odd f, z and -z agree to rounding): the first tied grid point and the
     first tied eta are reported, so the report does not hang on the order
     of the floating-point operations.
     """
+    return _scan_report(_grid_parts(f, cp, wp, grid), cp, eta_count, tol)
+
+
+def _scan_report(
+    parts: tuple[np.ndarray, ...], cp: ClassParams, eta_count: int, tol: float
+) -> ConvolutionScanReport:
+    """The :func:`convolution_scan` report on :func:`_grid_parts`' arrays."""
+    pts, num, den = parts
     if eta_count < 8:
         raise ParameterError(f"eta_count must be >= 8, got {eta_count!r}")
     _check_tol(tol)
-    k0, k1 = _kernel_parts(cp, wp, max(f.truncation, 1))
-    pts, (x, y) = _grid_values((hadamard(f, k0), hadamard(f, k1)), grid)
+    u0, v0, u1, v1 = _kernel_weights(cp)
+    x, y = u0 * num + v0 * den, u1 * num + v1 * den
     scans = []
     for j in range(1, eta_count):
         eta = cmath.exp(2j * math.pi * j / eta_count)
@@ -443,9 +436,7 @@ def convolution_scan(
         scans.append(EtaScan(eta, low, complex(pts[_first_tied(mods, low)])))
     low = min(s.min_modulus for s in scans)
     best = scans[_first_tied(np.array([s.min_modulus for s in scans]), low)]
-    return ConvolutionScanReport(
-        tuple(scans), low, best.eta, best.argmin_z, low < tol
-    )
+    return ConvolutionScanReport(tuple(scans), low, best.eta, best.argmin_z, low < tol)
 
 
 @dataclass(frozen=True)
@@ -468,7 +459,14 @@ def sufficiency_predicate(
     sufficient for membership; the grid version witnesses only the sampled
     points, and reports the first grid point tied with the maximum.
     """
-    pts, ratio = _grid_ratio(*_ratio_parts(f, cp, wp), grid)
+    pts, num, den = _grid_parts(f, cp, wp, grid)
+    return _sufficiency_report(pts, _divide(num, den, pts), cp)
+
+
+def _sufficiency_report(
+    pts: np.ndarray, ratio: np.ndarray, cp: ClassParams
+) -> SufficiencyReport:
+    """The :func:`sufficiency_predicate` report on R sampled at ``pts``."""
     offsets = np.abs(ratio + 1.0)
     highest = float(offsets.max())
     threshold = (1.0 + cp.gamma) * math.cos(cp.theta)

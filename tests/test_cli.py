@@ -373,6 +373,29 @@ class TestMemberCommand:
         assert "# scan:" in out
         assert "vanishes=False" in out
 
+    def test_scan_evaluates_the_grid_once(self, capsys, tmp_path, monkeypatch):
+        # bounds, sufficiency, membership, scan and grid CSV share one pass
+        from wrightlens import laurent, membership
+
+        calls = []
+        evaluate_grid = laurent._grid_values
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate_grid(*args, **kwargs)
+
+        for module in (laurent, membership):
+            monkeypatch.setattr(module, "_grid_values", counted)
+        path = tmp_path / "coeffs.csv"
+        path.write_text("n,re,im\n1,0.2,0.1\n2,0.0,0.05\n")
+        code, out, _ = run(
+            capsys, "member", *self.CLASS_ARGS, "--coeffs", str(path), "--scan",
+            "--out", str(tmp_path / "grid.csv"),
+        )
+        assert code == 0
+        assert "# scan:" in out
+        assert len(calls) == 1
+
     def test_grid_csv_written(self, capsys, tmp_path):
         coeffs = tmp_path / "empty.csv"
         coeffs.write_text("n,re,im\n")

@@ -24,6 +24,7 @@ from wrightlens import (
     convex_predicate,
     evaluate,
     hadamard,
+    lambda_mix,
     membership_check,
     phi_values,
     polar_grid,
@@ -33,7 +34,7 @@ from wrightlens import (
     tau_transform,
 )
 
-from wrightlens import membership
+from wrightlens import laurent, membership
 
 import oracles
 from param_grids import WRIGHT_PAIRS, class_grid, full_grid
@@ -243,6 +244,9 @@ class TestSchwarzGenerate:
         f = schwarz_generate(CP, WP, SchwarzFunction([0.0, 0.1]), 57)
         want = np.zeros(57)
         want[[0, 2, 4]] = [-0.3, 0.18, -0.12]
+        exact = oracles.monomial_member_h(0.0, 2.0, 0.1, 2, 57)
+        factorials = np.array([math.factorial(n) for n in range(1, 58)], dtype=float)
+        np.testing.assert_allclose(factorials * exact, want, rtol=1e-15, atol=0.0)
         assert np.max(np.abs(f.coeffs - want)) <= 1e-9 * 0.3
 
     def test_divisions_take_short_denominators(self, monkeypatch):
@@ -334,6 +338,47 @@ class TestConvolutionKernel:
             ) * c_eta * (1 - cp.lam + cp.lam * n) * ph[n - 1]
             assert kernel.coeffs[n - 1] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.6])
+    @pytest.mark.parametrize("lam", [0.0, 0.2, 0.45])
+    def test_product_reads_tau(self, lam, theta):
+        # f * K(eta) = e^{-i theta} c_plus mix(H) [(1+eta) - (1-eta) tau]
+        cp, wp = ClassParams(theta, lam, 2.0), WrightParams(0.5, 1.5)
+        f = schwarz_generate(cp, wp, SchwarzFunction([0.0, 0.2, 0.1]), 20)
+        pts = polar_grid(GridSpec(radii=8, angles=32))
+        mix = evaluate(lambda_mix(apply_operator(wp, f), lam), pts)
+        tau = tau_transform(f, cp, wp, pts)
+        c_plus = math.cos(theta) * (1 + cp.gamma * (1 - 2 * lam))
+        for eta in (-1.0, 1j, cmath.exp(2.5j)):
+            kernel = convolution_kernel(cp, wp, eta, f.truncation)
+            got = evaluate(hadamard(f, kernel), pts)
+            want = cmath.exp(-1j * theta) * c_plus * mix * ((1 + eta) - (1 - eta) * tau)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+    def test_product_vanishes_where_tau_crosses_the_imaginary_axis(self):
+        # bisect Re tau along the ray through a negative grid minimum: at the
+        # crossing z0, eta0 = (tau0 - 1)/(tau0 + 1) lies on the unit circle
+        cp, wp = ClassParams(0.6, 0.45, 2.0), WrightParams(0.5, 1.5)
+        member = schwarz_generate(cp, wp, SchwarzFunction([0.0, 0.2, 0.1]), 20)
+        coeffs = member.coeffs.copy()
+        coeffs[1] = 1.5 * bound_sequence_closed(cp, wp, 2).values[1]
+        f = LaurentSeries(1.0, coeffs)
+        report = membership_check(f, cp, wp)
+        assert report.verdict == "not_member"
+        ray = report.argmin_z / abs(report.argmin_z)
+        lo, hi = 0.05, abs(report.argmin_z)
+        assert tau_transform(f, cp, wp, lo * ray).real > 0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if tau_transform(f, cp, wp, mid * ray).real > 0:
+                lo = mid
+            else:
+                hi = mid
+        z0 = lo * ray
+        tau0 = tau_transform(f, cp, wp, z0)
+        eta0 = (tau0 - 1) / (tau0 + 1)
+        assert abs(abs(eta0) - 1) <= 1e-12
+        kernel = convolution_kernel(cp, wp, eta0 / abs(eta0), f.truncation)
+        assert abs(evaluate(hadamard(f, kernel), z0)) <= 1e-12
+
 
 class TestConvolutionScan:
     def test_bare_pole_min_modulus(self):
@@ -399,8 +444,13 @@ class TestConvolutionScanBruteForce:
         assert [s.eta for s in scan.per_eta] == etas
         assert 1.0 not in etas
 
-        k0, k1 = membership._kernel_parts(self.CP, WP, n)
-        x, y = (evaluate(hadamard(f, k), pts) for k in (k0, k1))
+        # f * K(eta) = x + eta y: x and y from the kernels at eta = -1 and i
+        minus_one, at_i = (
+            evaluate(hadamard(f, convolution_kernel(self.CP, WP, eta, n)), pts)
+            for eta in (-1.0, 1j)
+        )
+        y = (at_i - minus_one) / (1 + 1j)
+        x = minus_one + y
         tol = 1e-12 * float(np.max(np.abs(x) + np.abs(y)))
         for s in scan.per_eta:
             kernel = convolution_kernel(self.CP, WP, s.eta, n)
@@ -412,20 +462,22 @@ class TestConvolutionScanBruteForce:
         assert scan.min_modulus == min(s.min_modulus for s in scan.per_eta)
 
     def test_phi_values_calls_do_not_grow_with_eta_count(self, monkeypatch):
+        # the scan reaches phi through laurent.apply_operator
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return phi_values(*args, **kwargs)
 
-        monkeypatch.setattr(membership, "phi_values", counted)
+        for module in (laurent, membership):
+            monkeypatch.setattr(module, "phi_values", counted)
         f = self._function("member")
         counts = []
         for eta_count in (8, 128):
             calls.clear()
             convolution_scan(f, self.CP, WP, eta_count=eta_count, grid=self.GRID)
             counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2
+        assert 1 <= counts[0] == counts[1] <= 2
 
 
 class TestSufficiency:
@@ -519,6 +571,30 @@ class TestZeroDenominatorGuard:
         assert excinfo.value.at == 0.5
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f, grid: membership_check(f, CP, WP, grid),
+        lambda f, grid: sufficiency_predicate(f, CP, WP, grid),
+        lambda f, grid: convolution_scan(f, CP, WP, eta_count=8, grid=grid),
+    ],
+    ids=["membership_check", "sufficiency_predicate", "convolution_scan"],
+)
+def test_each_grid_check_evaluates_the_grid_once(monkeypatch, check):
+    calls = []
+    evaluate_grid = laurent._grid_values
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate_grid(*args, **kwargs)
+
+    for module in (laurent, membership):
+        monkeypatch.setattr(module, "_grid_values", counted)
+    f = schwarz_generate(CP, WP, SchwarzFunction([0.0, 0.3]), 20)
+    check(f, GridSpec(radii=8, angles=32))
+    assert len(calls) == 1
+
+
 def test_grid_consumers_do_not_call_evaluate(monkeypatch):
     import wrightlens
 
@@ -541,23 +617,20 @@ def test_grid_consumers_do_not_call_evaluate(monkeypatch):
 ORDER_CAP = {(0.0, 1.0): 171, (1.0, 1.0): 99, (0.5, 1.5): 129}
 GRID_SCHWARZ = SchwarzFunction([0.0, 0.2 + 0.1j, -0.05j])
 
-complexes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
-
-
 @st.composite
 def division_inputs(draw):
     n = draw(st.integers(1, 200))
-    num = draw(st.lists(complexes, min_size=n, max_size=n))
     m = draw(st.one_of(st.just(n), st.integers(1, n)))
-    # |den_k| <= 1 beside |den_0| >= 0.5 keeps every root of den at
-    # |z| >= 1/3, so 200 quotient terms stay far inside the double range
-    lead = draw(
-        st.complex_numbers(min_magnitude=0.5, max_magnitude=4.0).filter(lambda c: c != 1)
-    )
-    tail = draw(
-        st.lists(st.complex_numbers(max_magnitude=1.0), min_size=m - 1, max_size=m - 1)
-    )
-    return np.array(num, dtype=complex), np.array([lead] + tail, dtype=complex)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def complexes(size, low, high):
+        return rng.uniform(low, high, size) * np.exp(2j * np.pi * rng.random(size))
+
+    # moduli of num spread over nine decades up to 1e3; |den_k| <= 1 beside
+    # |den_0| >= 0.5 keeps every root of den at |z| >= 1/3, so 200 quotient
+    # terms stay far inside the double range
+    num = 10.0 ** rng.uniform(-6.0, 3.0, n) * complexes(n, 1.0, 1.0)
+    return num, np.concatenate((complexes(1, 0.5, 4.0), complexes(m - 1, 0.0, 1.0)))
 
 
 class TestBitIdenticalRecursions:
