@@ -185,9 +185,9 @@ def _weight_product(lam: float, big_l: float, n_max: int) -> np.ndarray:
     n = np.arange(1, n_max)
     steps = np.empty(n_max)
     steps[0] = big_l * (1.0 - 2.0 * lam) / (1.0 - lam)
-    factor = ((n + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + n * lam) * big_l) / (n + 2)
-    steps[1:] = factor / (1.0 - lam)
     with np.errstate(over="ignore"):
+        factor = ((n + 1) * (1.0 - lam) + 2.0 * (1.0 - lam + n * lam) * big_l) / (n + 2)
+        steps[1:] = factor / (1.0 - lam)
         weights = np.multiply.accumulate(steps)
     weights.setflags(write=False)
     return weights

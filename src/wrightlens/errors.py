@@ -1,5 +1,16 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "ParameterError",
+    "PoleError",
+    "ConvergenceError",
+    "EvalDomainError",
+    "SeriesDivisionError",
+    "ConsistencyError",
+    "CoefficientFileError",
+    "TruncationWarning",
+]
+
 
 class ParameterError(ValueError):
     """A parameter violates its documented domain."""

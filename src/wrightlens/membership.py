@@ -5,12 +5,14 @@ normalized transform tau(z) built from the ratio
 
     R(z) = z H'(z) / [(1-lam) H(z) + lam z H'(z)],    H = operator image of f,
 
-has positive real part on the punctured disk.  tau(0) = 1 is forced, so tau
-is a Caratheodory function and can be parametrized by a Schwarz function w
-through tau = (1+w)/(1-w).  This module provides the transform, grid-based
-membership verdicts, the Schwarz-driven generator that inverts the
-construction, the convolution kernel whose non-vanishing characterizes
-membership, and the sufficiency threshold test.
+has positive real part on the punctured disk, where R = R1 + beta (tau - 1)
+with R1 = -1/(1-2 lam), R's value at 0, and beta = -e^{-i theta} L/(1-2 lam),
+L = ``ClassParams.Lambda``.  So tau(0) = 1, and tau = (1+w)/(1-w) for a
+Schwarz function w.  Every use of this class map reads :func:`_class_map`,
+which carries R1 exactly: gamma enters through beta alone.  This module
+provides the transform, grid-based membership verdicts, the Schwarz-driven
+generator that inverts the construction, the convolution kernel whose
+non-vanishing characterizes membership, and the sufficiency threshold test.
 
 One structural point drives several APIs here: expanding the defining
 relation in powers of z forces the z^1 coefficient of tau to vanish, so only
@@ -106,12 +108,10 @@ class SchwarzFunction:
         return complex(out) if z_arr.ndim == 0 else out
 
 
-def _tau_constants(cp: ClassParams) -> tuple[complex, float]:
-    """(numerator shift, denominator) for the tau normalization."""
-    one_m2 = 1.0 - 2.0 * cp.lam
-    shift = -cp.gamma * math.cos(cp.theta) + 1j * math.sin(cp.theta) / one_m2
-    denom = -math.cos(cp.theta) * (1.0 / one_m2 + cp.gamma)
-    return shift, denom
+def _class_map(cp: ClassParams) -> tuple[float, complex]:
+    """(R1, beta) of the class map R = R1 + beta (tau - 1)."""
+    s = 1.0 - 2.0 * cp.lam
+    return -1.0 / s, -cmath.exp(-1j * cp.theta) * cp.Lambda / s
 
 
 def _ratio_parts(
@@ -124,12 +124,12 @@ def _ratio_parts(
 
 
 def _tau_of_ratio(cp: ClassParams, ratio):
-    shift, denom = _tau_constants(cp)
-    return (cmath.exp(1j * cp.theta) * ratio + shift) / denom
+    r1, beta = _class_map(cp)
+    return 1.0 + (ratio - r1) / beta
 
 
 def tau_transform(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
-    """tau(z) = [e^{i theta} R(z) + shift] / denom for scalar or array z.
+    """tau(z) = 1 + (R(z) - R1)/beta for scalar or array z.
 
     R is the ratio of the z-derivative to the lambda mix of the operator
     image; a vanishing mix denominator raises :class:`SeriesDivisionError`
@@ -208,26 +208,16 @@ def _membership_report(
 def a_of_t(cp: ClassParams, w: SchwarzFunction, t):
     """Ratio target A(t) induced by the Schwarz parametrization.
 
-    A(t) = e^{-i theta} [gamma cos(theta) - i sin(theta)/(1-2 lam)]
-         - e^{-i theta} cos(theta) (1/(1-2 lam) + gamma) (1+w(t))/(1-w(t)),
-
-    which satisfies A(0) = -1/(1-2 lam) -- the value forced by the behavior
-    of z H'(z)/H(z) at the origin.
+    A is the class map at tau = (1+w)/(1-w): A(t) = R1 + beta 2w(t)/(1-w(t)),
+    so A(0) = R1 = -1/(1-2 lam), the value R takes at the origin.
     """
     t_arr = np.asarray(t, dtype=complex)
     if np.any(np.abs(t_arr) >= 1.0):
         raise ParameterError("A(t) is defined for |t| < 1")
-    alpha, beta = _target_line(cp)
+    r1, beta = _class_map(cp)
     wt = w(t_arr)
-    out = alpha + beta * ((1.0 + wt) / (1.0 - wt))
+    out = r1 + beta * (2.0 * wt / (1.0 - wt))
     return complex(out) if t_arr.ndim == 0 else out
-
-
-def _target_line(cp: ClassParams) -> tuple[complex, complex]:
-    """(alpha, beta) with A = alpha + beta tau, as in :func:`a_of_t`."""
-    shift, denom = _tau_constants(cp)
-    phase = cmath.exp(-1j * cp.theta)
-    return -phase * shift, phase * denom
 
 
 def caratheodory_series(w: SchwarzFunction, n_max: int) -> TaylorSeries:
@@ -276,16 +266,17 @@ def schwarz_generate(
         h_n = [ g_{n+1} + sum_{k=1}^{n-1} g_{n-k} h_k ] / (n + 1),
 
     and f recovers its coefficients by dividing out the kernel: a_n =
-    h_n / phi_n.  g_0 = -1 is forced by construction and is re-checked; a
-    mismatch raises :class:`ConsistencyError`.  An a_n outside the double
-    range (phi_n underflows past the order cap) raises
-    :class:`OverflowError` naming the first such index.
+    h_n / phi_n.  An a_n outside the double range (phi_n underflows past the
+    order cap) raises :class:`OverflowError` naming the first such index.
 
-    A = alpha + beta tau is affine in tau = (1+w)/(1-w), so G is a Moebius
-    function of w: G = P(w)/Q(w) with
+    A = [R1 + d w]/(1-w) with d = 2 beta - R1 (:func:`a_of_t`), so G is a
+    Moebius function of w: G = P(w)/Q(w) with
 
-        P = (1-lam) [(alpha+beta) + (beta-alpha) w],
-        Q = q0 + q1 w,  q0 = 1 - lam (alpha+beta),  q1 = -(1 + lam (beta-alpha)).
+        P = (1-lam) (R1 + d w),   Q = q0 + q1 w,  q0 = 1 - lam R1,  q1 = -(1 + lam d).
+
+    g_0 = (1-lam) R1/q0 = -1 holds to rounding and is re-checked (a mismatch
+    raises :class:`ConsistencyError`); a d past the double range raises
+    :class:`OverflowError`.
 
     G is analytic in the disk exactly when Q(w(z)) has no zero there, that
     is when w(z) never takes the value w* = -q0/q1.  Since |w| < sum |c_k|
@@ -304,8 +295,11 @@ def schwarz_generate(
     phi = phi_values(wp, n_max)
     zero = np.flatnonzero(phi == 0.0)
     n_stop = int(zero[0]) + 1 if zero.size else n_max
-    alpha, beta = _target_line(cp)
-    q0, q1 = 1.0 - cp.lam * (alpha + beta), -(1.0 + cp.lam * (beta - alpha))
+    r1, beta = _class_map(cp)
+    d = 2.0 * beta - r1
+    if not cmath.isfinite(d):  # else q1 and P are finite too
+        raise OverflowError(f"2 beta - R1 = {d!r} exceeds the floating-point range")
+    q0, q1 = 1.0 - cp.lam * r1, -(1.0 + cp.lam * d)
     if abs(q0) < abs(q1) * float(np.sum(np.abs(w.coeffs))):
         w_star = -q0 / q1
         roots = np.roots(np.concatenate((w.coeffs[::-1], [-w_star])))
@@ -315,7 +309,7 @@ def schwarz_generate(
             raise SeriesDivisionError(
                 f"1 - lam*A(z) vanishes at z={at!r}, where w(z) = {w_star!r}", at=at
             )
-    p = (1.0 - cp.lam) * np.concatenate(([alpha + beta], (beta - alpha) * w.coeffs))
+    p = (1.0 - cp.lam) * np.concatenate(([r1], d * w.coeffs))
     q = np.concatenate(([q0], q1 * w.coeffs))
     num = np.zeros(n_stop + 2, dtype=complex)
     num[: p.size] = p[: num.size]
@@ -342,11 +336,11 @@ def schwarz_generate(
 
 def _kernel_weights(cp: ClassParams) -> tuple[float, complex, float, complex]:
     """(u0, v0, u1, v1) with f * K(eta) = (u0 + eta u1) zH' + (v0 + eta v1)
-    mix(H); as R = alpha + beta tau (:func:`_target_line`), that is
-    (1-2 lam)(1-eta) beta mix(H) [tau - (1+eta)/(1-eta)]."""
-    alpha, beta = _target_line(cp)
+    mix(H); through the class map that is
+    (1-2 lam) beta mix(H) [(1-eta) tau - (1+eta)]."""
+    r1, beta = _class_map(cp)
     s = 1.0 - 2.0 * cp.lam
-    return s, -s * (alpha + beta), -s, s * (alpha - beta)
+    return s, -s * r1, -s, s * (r1 - 2.0 * beta)
 
 
 def convolution_kernel(
@@ -354,14 +348,13 @@ def convolution_kernel(
 ) -> LaurentSeries:
     """Kernel whose coefficientwise product with f must avoid zero.
 
-    K(z) = (1-2 lam)(1-eta) * (-1/z + sum n phi_n z^n)
-         + e^{-i theta} C(eta) * ((1-2 lam)/z + sum (1-lam+lam n) phi_n z^n),
+    K = (u0 + eta u1) z k' + (v0 + eta v1) mix(k), with k the Wright kernel,
+    z k' = -1/z + sum n phi_n z^n, mix(k) = (1-2 lam)/z + sum (1-lam+lam n)
+    phi_n z^n and the weights of :func:`_kernel_weights`, so that
 
-    C(eta) = -gamma cos(theta)(1-2 lam)(1-eta) + i sin(theta)(1-eta)
-           + (1+eta) cos(theta)(1 + gamma(1-2 lam)).
+        f * K(eta) = e^{-i theta} L mix(H) [(1+eta) - (1-eta) tau],
 
-    These are z k' and mix(k) of the Wright kernel k: f * K(eta) = e^{-i theta}
-    (C(1)/2) mix(H) [(1+eta) - (1-eta) tau], zero where tau = (1+eta)/(1-eta).
+    zero where tau = (1+eta)/(1-eta).
 
     eta must sit on the unit circle and differ from 1.
     """

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrightlens.cli import main, parse_complex
-from wrightlens import ParameterError, read_coefficient_csv
+from wrightlens import ParameterError, WrightParams, phi_values, read_coefficient_csv
 from param_grids import class_grid
 
 
@@ -613,28 +613,29 @@ class TestVerifyIdentities:
         assert err == "error: --n-max must be >= 1, got 0\n"
 
 
+def spawn(argv, stdout):
+    """The CLI in a fresh interpreter, with stderr piped."""
+    import wrightlens
+
+    env = dict(os.environ)
+    # stdout block-buffered, as it is for a pipe by default
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(wrightlens.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "wrightlens.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
 class TestClosedStdout:
     ARGV = ["verify-identities", "--theta", "0", "--lam", "0", "--gamma", "2",
             "--alpha", "0", "--beta", "1", "--n-max", "40"]
 
-    @staticmethod
-    def _spawn(argv, stdout):
-        import wrightlens
-
-        env = dict(os.environ)
-        # stdout block-buffered, as it is for a pipe by default
-        env.pop("PYTHONUNBUFFERED", None)
-        src = str(Path(wrightlens.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.Popen(
-            [sys.executable, "-m", "wrightlens.cli", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, env=env,
-        )
-
     def test_reader_closing_after_the_first_line_exits_1_quietly(self):
         # well past the pipe's buffer, so the writer is still writing when
         # the reader goes away
-        proc = self._spawn(self.ARGV + ["--random", "200"], subprocess.PIPE)
+        proc = spawn(self.ARGV + ["--random", "200"], subprocess.PIPE)
         with proc:
             first = proc.stdout.readline()
             proc.stdout.close()
@@ -650,7 +651,7 @@ class TestClosedStdout:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = self._spawn(self.ARGV + ["--random", "4"], write_end)
+            proc = spawn(self.ARGV + ["--random", "4"], write_end)
         finally:
             os.close(write_end)
         with proc:
@@ -696,6 +697,47 @@ class TestPastOrderCap:
             )
         assert code == 3
         assert err == f"error: a_{index} exceeds the floating-point range\n"
+
+
+class TestLargeGamma:
+    """R1 = -1/(1-2 lam) stays exact however large gamma is; a gamma that
+    takes the generator's constants past the double range exits 3."""
+
+    SCHWARZ = ["--alpha", "0", "--beta", "1", "--schwarz", "0,0.5"]
+
+    @pytest.mark.parametrize(
+        "theta,gamma", [("0.6", "3.16e6"), ("1.2", "1e14"), ("0", "1e16")]
+    )
+    def test_members_generate_and_meet_the_oracle(self, capsys, tmp_path, theta, gamma):
+        # these exited 3: "forced normalization g_0 = -1 failed"
+        argv = ["--theta", theta, "--lam", "0", "--gamma", gamma, *self.SCHWARZ,
+                "--n-max", "8"]
+        path = tmp_path / "coeffs.csv"
+        code, out, err = run(capsys, "generate", *argv, "--out", str(path))
+        assert (code, err) == (0, "")
+        assert out.endswith("# bounds: all_satisfied=True\n")
+        h = phi_values(WrightParams(0, 1), 8) * read_coefficient_csv(path).coeffs
+        code, out, err = run(capsys, "verify-identities", *argv)
+        assert (code, err) == (0, "")
+        residuals = [float(r.split(",")[2]) for r in data_rows(out) if "," in r]
+        assert max(residuals) <= 1e-13 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--lam", "0.2", *SCHWARZ, "--n-max", "5"],
+         ["generate", "--lam", "0", *SCHWARZ, "--n-max", "5"],
+         ["verify-identities", "--lam", "0.2", *SCHWARZ, "--n-max", "5"],
+         ["radius", "star", "--lam", "0", "--alpha", "0", "--beta", "1",
+          "--n-max", "5"]],
+        ids=["generate-lam-0.2", "generate-lam-0", "verify-identities", "radius"],
+    )
+    def test_past_the_double_range_exits_3_quietly(self, argv):
+        # an uncaught LinAlgError and leaked RuntimeWarnings once ended these
+        with spawn([*argv, "--theta", "0", "--gamma", "1e308"], subprocess.PIPE) as proc:
+            err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 3
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSizeLimits:

@@ -19,6 +19,7 @@ from wrightlens import (
     apply_operator,
     bound_sequence_closed,
     caratheodory_series,
+    coefficient_bound_check,
     convolution_kernel,
     convolution_scan,
     convex_predicate,
@@ -29,6 +30,7 @@ from wrightlens import (
     phi_values,
     polar_grid,
     schwarz_generate,
+    series_identity_oracle,
     starlike_predicate,
     sufficiency_predicate,
     tau_transform,
@@ -171,6 +173,17 @@ class TestRatioTarget:
             want = -1.0 / (1.0 - 2.0 * cp.lam)
             assert abs(got - want) <= 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("gamma", [2.0, 1e16, 1e300])
+    @pytest.mark.parametrize("lam", [0.0, 0.2, 0.45])
+    @pytest.mark.parametrize("theta", [0.0, -1.2])
+    def test_origin_value_is_exact_for_any_gamma(self, theta, lam, gamma):
+        # R1 is carried, not recovered from two gamma-sized numbers
+        cp = ClassParams(theta, lam, gamma)
+        r1, beta = membership._class_map(cp)
+        assert r1 == -1.0 / (1.0 - 2.0 * lam)
+        assert cmath.isfinite(beta)
+        assert a_of_t(cp, SchwarzFunction([0.0, 0.5]), 0.0) == r1
+
     def test_hand_value(self):
         # theta=0, lam=0, gamma=2, w(t)=t, t=0.5: 2 - 3*(1.5/0.5) = -7
         w = SchwarzFunction([NEAR_ONE])
@@ -301,6 +314,24 @@ class TestSchwarzGenerate:
             SchwarzFunction.monomial(1j * NEAR_ONE, 5),
         ):
             assert schwarz_generate(cp, WP, w, 30).truncation == 30
+
+    @pytest.mark.parametrize(
+        "theta,gamma", [(0.6, 3.16e6), (-1.2, 1e7), (1.2, 1e14), (0.0, 1e16)]
+    )
+    def test_large_gamma_members(self, theta, gamma):
+        # these once failed the g_0 = -1 check: R1 came out of gamma-sized terms
+        cp, w = ClassParams(theta, 0.0, gamma), SchwarzFunction([0.0, 0.5])
+        f = schwarz_generate(cp, WP, w, 8)
+        assert coefficient_bound_check(f, cp, WP).all_satisfied
+        res = series_identity_oracle(f, caratheodory_series(w, 9), cp, WP)
+        h = phi_values(WP, 8) * f.coeffs
+        assert res.max_abs() <= 1e-13 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_gamma_past_the_double_range_raises_overflow(self, lam):
+        cp = ClassParams(0.0, lam, 1e308)
+        with pytest.raises(OverflowError, match=r"2 beta - R1 = \(-inf"):
+            schwarz_generate(cp, WP, SchwarzFunction([0.0, 0.5]), 5)
 
     def test_pole_propagates(self):
         from wrightlens import PoleError

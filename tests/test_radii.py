@@ -206,12 +206,12 @@ class TestSolveRadius:
             solve_radius(q)
         return sizes
 
-    def test_converged_model_bisects_once(self):
+    def test_converged_model_solves_once(self):
         model = lambda k: operator_weights(CP, WP, k)
         q = RadiusQuery(0.3, "convex", model(40), 1e-9, weight_model=model)
         assert self._solved_sizes(q) == [80]
 
-    def test_unconverged_model_bisects_twice(self):
+    def test_unconverged_model_solves_twice(self):
         q = RadiusQuery(0.0, "starlike", np.ones(2), 1e-9, weight_model=np.ones)
         with pytest.warns(TruncationWarning):
             assert self._solved_sizes(q) == [4, 2]
