@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .laurent import LaurentSeries, TaylorSeries, apply_operator, lambda_mix
-from .special import WrightParams, _log_inverse_phi, _pole_error, phi_values
+from .special import WrightParams, _pole_error, _table, phi_values
 
 __all__ = [
     "ClassParams",
@@ -145,17 +145,18 @@ def bound_sequence_closed(
 
         log A_n = log w_n + log|Gamma(alpha*n + beta) n!|,
 
-    the second term from the same route as :func:`phi_values`, so nothing
-    overflows before A_n itself does; that raises :class:`OverflowError`
-    naming the first such index.  Pole indices raise :class:`PoleError`.
+    the second term read from the memoised table behind :func:`phi_values`,
+    so nothing overflows before A_n itself does; that raises
+    :class:`OverflowError` naming the first such index.  Pole indices raise
+    :class:`PoleError`.
     """
-    n = np.arange(1.0, n_max + 1)
-    sign, log_inv = _log_inverse_phi(wp, n)
+    weights = operator_weights(cp, wp, n_max)
+    sign, log_inv, _ = (a[:n_max] for a in _table(wp, n_max))
     if not sign.all():
-        raise _pole_error(wp, n[sign == 0.0])
+        raise _pole_error(wp, np.flatnonzero(sign == 0.0) + 1)
     # A_n past the double range turns inf; BoundSequence names the first.
     with np.errstate(over="ignore"):
-        values = sign * np.exp(np.log(operator_weights(cp, wp, n_max)) + log_inv)
+        values = sign * np.exp(np.log(weights) + log_inv)
     return BoundSequence(values, cp, wp, "closed")
 
 

@@ -360,15 +360,21 @@ def cmd_verify_identities(args) -> int:
             functions.append(
                 (f"random_{i}", member_mod.SchwarzFunction(np.r_[0j, raw]))
             )
-    print(f"# params: {_operator_fields(args)} n_max={args.n_max} seed={get_seed()}")
-    print("schwarz,power,residual_abs")
+    # every member and its residuals first, so a failing one prints nothing
+    results = []
     for label, w in functions:
         f = member_mod.schwarz_generate(cp, wp, w, args.n_max)
         tau = member_mod.caratheodory_series(w, args.n_max + 1)
-        res = bounds_mod.series_identity_oracle(f, tau, cp, wp)
+        results.append((
+            label,
+            bounds_mod.series_identity_oracle(f, tau, cp, wp),
+            bounds_mod.extraction_residuals(f, tau, cp, wp),
+        ))
+    print(f"# params: {_operator_fields(args)} n_max={args.n_max} seed={get_seed()}")
+    print("schwarz,power,residual_abs")
+    for label, res, (first, phased, unphased) in results:
         for power, value in zip(res.powers, res.residuals):
             print(f"{label},{int(power)},{float(abs(value))!r}")
-        first, phased, unphased = bounds_mod.extraction_residuals(f, tau, cp, wp)
         print(
             f"# extraction[{label}]: first={float(abs(first))!r} "
             f"phased_max={float(np.max(np.abs(phased))) if phased.size else 0.0!r} "

@@ -11,7 +11,9 @@ starts at the linear term; there is no constant term.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +52,7 @@ _POLE_TOL = 1e-12
 
 _TERM_TOL = 1e-16
 _MAX_TERMS = 500
-_TERM_BLOCKS = np.split(np.arange(1.0, _MAX_TERMS + 1), [64])
+_MIN_TABLE = 64
 
 
 def _near_pole(x: np.ndarray) -> np.ndarray:
@@ -162,13 +164,41 @@ def phi(params: WrightParams, n: int) -> float:
     return float(_phi(params, np.array([float(n)]))[0])
 
 
-def phi_values(params: WrightParams, n_max: int) -> np.ndarray:
-    """Coefficients phi_1 .. phi_n_max from one elementwise log-space pass.
+@lru_cache(maxsize=64)
+def _coefficient_table(params: WrightParams, size: int) -> tuple[np.ndarray, ...]:
+    """Read-only (sign, log|Gamma(alpha*n + beta) n!|, phi_n) for n = 1..size.
 
-    Past the order where phi_n leaves the double range they underflow to 0."""
+    One log-space route call; the route is elementwise, so a prefix of the
+    table is bit-identical to a shorter call.  A pole index has sign 0 and
+    phi 0, and only the readers that reach it raise."""
+    sign, log_inv = _log_inverse_phi(params, np.arange(1.0, size + 1))
+    values = sign * np.exp(-log_inv)
+    for arr in (sign, log_inv, values):
+        arr.setflags(write=False)
+    return sign, log_inv, values
+
+
+def _table(params: WrightParams, n_max: int) -> tuple[np.ndarray, ...]:
+    """The memoised table of :func:`_coefficient_table` covering n = 1..n_max.
+
+    Its size is the smallest power of two >= max(64, n_max), so every order
+    in one band (1-64, 65-128, 129-256, ...) shares one table."""
+    size = max(_MIN_TABLE, 1 << (operator.index(n_max) - 1).bit_length())
+    return _coefficient_table(params, size)
+
+
+def phi_values(params: WrightParams, n_max: int) -> np.ndarray:
+    """Coefficients phi_1 .. phi_n_max, a prefix of the pair's memoised table.
+
+    The array is read-only and shared between calls: copy it before writing
+    into it.  Past the order where phi_n leaves the double range the values
+    underflow to 0."""
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max!r}")
-    return _phi(params, np.arange(1.0, n_max + 1))
+    sign, _, values = (a[:n_max] for a in _table(params, n_max))
+    if not sign.all():
+        raise _pole_error(params, np.flatnonzero(sign == 0.0) + 1)
+    return values
 
 
 class WrightEval(NamedTuple):
@@ -187,8 +217,8 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
     the value, with the cancellation ratio sum |t_n| / |sum t_n| (inf for
     an exactly zero sum, 1.0 at z = 0).  Exceeding the cap, or overflowing
     mid-sum, raises :class:`ConvergenceError`; reaching a pole index raises
-    :class:`PoleError`.  The coefficients come from the log-space route in
-    two blocks, 1-64 and 65-500; only a longer sum reads the second.
+    :class:`PoleError`.  The coefficients come from the pair's memoised
+    table in two blocks, 1-64 and 65-500; only a longer sum reads the second.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -199,9 +229,9 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
     mass = 0.0
     z_pow = 1.0 + 0j
     n = 0
-    for block in _TERM_BLOCKS:
-        sign, log_inv = _log_inverse_phi(params, block)
-        for s, c in zip(sign.tolist(), (sign * np.exp(-log_inv)).tolist()):
+    for stop in (_MIN_TABLE, _MAX_TERMS):
+        sign, _, values = _table(params, stop)
+        for s, c in zip(sign[n:stop].tolist(), values[n:stop].tolist()):
             n += 1
             if not s:
                 raise _pole_error(params, [n])

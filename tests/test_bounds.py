@@ -19,8 +19,9 @@ from wrightlens import (
     schwarz_generate,
     series_identity_oracle,
 )
-from wrightlens import bounds
+from wrightlens import BoundSequence, bounds
 from wrightlens.laurent import TaylorSeries
+from wrightlens.special import _log_inverse_phi, _pole_error
 
 from param_grids import full_grid
 
@@ -124,6 +125,33 @@ class TestBoundSequences:
         cp, wp = ClassParams(0.0, 0.45, 5.0), WrightParams(1.0, 1.0)
         with pytest.raises(OverflowError):
             bound_sequence_closed(cp, wp, 200)
+
+    @pytest.mark.parametrize(
+        "wp",
+        [WrightParams(0.0, 1.0), WrightParams(1.0, 1.0), WrightParams(0.5, 1.5),
+         WrightParams(-0.01, 1.0), WrightParams(-0.5, 6.0)],
+    )
+    def test_table_route_is_bit_equal_to_one_route_call(self, wp):
+        def one_call(cp, wp, n_max):
+            n = np.arange(1.0, n_max + 1)
+            sign, log_inv = _log_inverse_phi(wp, n)
+            if not sign.all():
+                raise _pole_error(wp, n[sign == 0.0])
+            with np.errstate(over="ignore"):
+                values = sign * np.exp(np.log(operator_weights(cp, wp, n_max)) + log_inv)
+            return BoundSequence(values, cp, wp, "closed")
+
+        def outcome(build, cp, n_max):
+            try:
+                return build(cp, wp, n_max).values.tobytes()
+            except (ArithmeticError, ParameterError) as exc:
+                return type(exc), str(exc)
+
+        for cp in (CP, ClassParams(0.0, 0.45, 5.0), ClassParams(0.6, 0.2, 5.0)):
+            for n_max in (1, 11, 64, 99, 100, 129, 200, 300):
+                assert outcome(bound_sequence_closed, cp, n_max) == outcome(
+                    one_call, cp, n_max
+                ), (cp, n_max)
 
     def test_bad_n_max(self):
         with pytest.raises(ParameterError):

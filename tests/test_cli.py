@@ -612,6 +612,21 @@ class TestVerifyIdentities:
         assert out == ""
         assert err == "error: --n-max must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--theta", "0", "--lam", "0.2", "--gamma", "1e308", "--alpha", "0",
+          "--beta", "1", "--schwarz", "0,0.5", "--n-max", "5"],
+         [*CLASS_ARGS[:6], "--alpha", "1", "--beta", "1", "--random", "2",
+          "--n-max", "200"]],
+        ids=["past-the-double-range", "random-past-the-order-cap"],
+    )
+    def test_numerical_failure_exits_3_before_output(self, capsys, argv):
+        # every member is generated before the first line is printed
+        code, out, err = run(capsys, "verify-identities", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def spawn(argv, stdout):
     """The CLI in a fresh interpreter, with stderr piped."""

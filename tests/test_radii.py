@@ -574,7 +574,7 @@ class TestCertifiedWindow:
         assert float(root) == pytest.approx(1e-153 / 3.0, rel=1e-15)
 
 
-class TestFallback:
+class TestCertificateLimits:
     """Queries at the limits of the certificate: a tol below the window, a
     root at or past the edge, a certificate that never holds.  No numpy
     warning leaks (the overflowing sum is in TestCertifiedWindow)."""

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -18,8 +19,12 @@ from wrightlens import (
     signed_lgamma,
     wright_eval,
 )
+from wrightlens.special import _phi
 
 from param_grids import WRIGHT_PAIRS
+
+# alpha*n + beta = 0 at n = 100: a pole inside the 128-entry table
+POLE_AT_100 = WrightParams(-0.01, 1.0)
 
 
 def kahan_series_oracle(alpha, beta, z, terms=200):
@@ -135,6 +140,37 @@ class TestPhi:
             assert vals[n - 1] == phi(wp, n)
 
 
+class TestCoefficientTable:
+    """phi_values reads prefixes of one memoised table per (alpha, beta)."""
+
+    @pytest.mark.parametrize("alpha,beta", WRIGHT_PAIRS + ((-0.01, 1.0),))
+    def test_prefix_is_bit_equal_to_one_route_call(self, alpha, beta):
+        wp = WrightParams(alpha, beta)
+        for n_max in range(0, 301):
+            try:
+                want = _phi(wp, np.arange(1, n_max + 1))
+            except PoleError as exc:
+                with pytest.raises(PoleError, match=re.escape(str(exc))):
+                    phi_values(wp, n_max)
+                continue
+            assert phi_values(wp, n_max).tobytes() == want.tobytes(), n_max
+
+    def test_pole_past_n_max_is_not_reached(self):
+        assert np.all(phi_values(POLE_AT_100, 99) > 0.0)
+        with pytest.raises(PoleError, match=r"at n=\[100\] for"):
+            phi_values(POLE_AT_100, 100)
+        with pytest.raises(PoleError, match=r"at n=\[100\] for"):
+            phi_values(POLE_AT_100, 128)
+
+    def test_read_only_and_shared(self):
+        wp = WrightParams(0.5, 1.5)
+        values = phi_values(wp, 40)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        assert np.shares_memory(values, phi_values(wp, 60))
+
+
 # Arguments on [0.1, 50] and in the reflection region, away from the poles.
 ORACLE_XS = [float(x) for x in np.linspace(0.1, 50.0, 250)] + [
     k + f for k in range(-10, 1) for f in (0.03, 0.25, 0.5, 0.77, 0.97) if k + f < 0.5
@@ -180,7 +216,32 @@ class TestMpmathOracle:
             assert float(abs(log_abs - want_log)) <= 1e-12 * max(1.0, abs(want_log)), x
 
 
+def termwise_wright(wp, z):
+    """wright_eval's sum with scalar phi: (value, terms, cancellation) or None."""
+    total, mass, z_pow = 0j, 0.0, 1.0 + 0j
+    for n in range(1, 501):
+        z_pow *= z
+        term = phi(wp, n) * z_pow
+        total += term
+        mass += abs(term)
+        if abs(term) <= 1e-16 * (1.0 + abs(total)):
+            return total, n, mass / abs(total) if total else math.inf
+    return None
+
+
 class TestWrightEval:
+    @pytest.mark.parametrize(
+        "alpha,beta,z",
+        [(a, b, x) for a, b in WRIGHT_PAIRS for x in (0.25, 0.5, 1.0, 2.0)]
+        + [(0.0, 1.0, 1.5 * cmath.exp(0.4j * math.pi)), (0.0, 1.0, 1e-8),
+           (0.5, 1.5, 0.1), (0.5, 1.5, 1.5), (-0.5, 6.0, 0.01),
+           (-0.5, 0.75, 10.0), (0.0, 1.0, 60.0)],
+    )
+    def test_table_sum_is_bit_equal_to_the_termwise_sum(self, alpha, beta, z):
+        # (0, 1) at z = 60 takes 134 terms, so the 65-500 block is read
+        result = wright_eval(WrightParams(alpha, beta), z)
+        assert tuple(result) == termwise_wright(WrightParams(alpha, beta), complex(z))
+
     def test_zero_argument(self):
         result = wright_eval(WrightParams(0.3, 2.0), 0.0)
         assert result.value == 0j
