@@ -223,15 +223,15 @@ def coefficient_bound_check(
         )
     if f.truncation == 0:
         return BoundCheckReport((), True)
-    seq = bound_sequence_closed(cp, wp, f.truncation)
-    records = []
-    for n in range(1, f.truncation + 1):
-        abs_a = float(abs(f.coeffs[n - 1]))
-        bound = float(seq.values[n - 1])
-        records.append(
-            BoundCheckRecord(n, abs_a, bound, abs_a <= bound * (1.0 + _BOUND_SLACK))
-        )
-    return BoundCheckReport(tuple(records), all(r.satisfied for r in records))
+    bound = bound_sequence_closed(cp, wp, f.truncation).values
+    # hypot, as the scalar abs: the vector np.abs can differ by an ulp
+    abs_a = np.hypot(f.coeffs.real, f.coeffs.imag)
+    within = abs_a <= bound * (1.0 + _BOUND_SLACK)
+    records = map(
+        BoundCheckRecord, range(1, f.truncation + 1),
+        abs_a.tolist(), bound.tolist(), within.tolist(),
+    )
+    return BoundCheckReport(tuple(records), bool(within.all()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,10 @@ The operator kernel used throughout the package is built from coefficients
 
 and the associated entire series sum_{n>=1} phi_n * z**n.  Note the sum
 starts at the linear term; there is no constant term.
+
+Every gamma value comes in log space from the standard library's
+math.lgamma, with the sign of Gamma(x) for x < 0 from the parity of
+floor(x); phi_n is then sign * exp(-log|Gamma(alpha*n + beta) n!|).
 """
 
 from __future__ import annotations
@@ -30,24 +34,6 @@ __all__ = [
     "wright_eval",
 ]
 
-# Lanczos approximation, g = 7 with 9 coefficients.  In log space, with the
-# reflection formula, this holds ~1e-13 relative error over the range the
-# package uses; the contract only promises 1e-12 on [0.1, 50].
-_LANCZOS_G = 7.0
-_LANCZOS = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-_LANCZOS_SHIFT = np.arange(1.0, len(_LANCZOS))[:, None]
-
-_SQRT_TWO_PI = 2.5066282746310002
 _POLE_TOL = 1e-12
 
 _TERM_TOL = 1e-16
@@ -57,32 +43,27 @@ _MIN_TABLE = 64
 
 def _near_pole(x: np.ndarray) -> np.ndarray:
     k = np.rint(x)
-    return (k <= 0.0) & (np.abs(x - k) <= _POLE_TOL)
+    with np.errstate(invalid="ignore"):  # inf - inf at an overflowed argument
+        return (k <= 0.0) & (np.abs(x - k) <= _POLE_TOL)
 
 
 def _signed_lgamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise (sign, log|Gamma(x)|) over a finite 1-d array.
+    """Elementwise (sign, log|Gamma(x)|) over a 1-d array, from math.lgamma.
 
-    Pole entries get (0, inf), so sign * exp(-log) is 0 there; callers decide."""
-    reflect = x < 0.5
-    z = x - 1.0
-    z[reflect] = -x[reflect]  # Lanczos at 1 - x for the reflected entries
-    t = z + (_LANCZOS_G + 0.5)
-    series = _LANCZOS[0] + (_LANCZOS[1:, None] / (z + _LANCZOS_SHIFT)).sum(axis=0)
-    sign = np.ones_like(z)
-    with np.errstate(over="ignore", divide="ignore"):
-        log_abs = np.log(_SQRT_TWO_PI * series) + (z + 0.5) * np.log(t) - t
-        if reflect.any():
-            # Gamma(x) Gamma(1-x) = pi / sin(pi x).  sin is reduced against
-            # the nearest integer before multiplying by pi so it stays
-            # relatively accurate close to its zeros.
-            r = x[reflect]
-            k = np.rint(r)
-            s = np.sin(np.pi * (r - k)) * np.where(k % 2.0, -1.0, 1.0)
-            sign[reflect] = np.sign(s)
-            log_abs[reflect] = np.log(np.pi / np.abs(s)) - log_abs[reflect]
-            pole = _near_pole(x)
-            sign[pole], log_abs[pole] = 0.0, np.inf
+    For x < 0 the sign follows the parity of floor(x).  Pole entries get
+    (0, inf), so sign * exp(-log) is 0 there; callers decide.  An argument
+    whose log-gamma overflows, or that is itself inf, gets log inf."""
+    log_abs = np.empty_like(x)
+    for i, v in enumerate(x.tolist()):
+        try:
+            log_abs[i] = math.lgamma(v)
+        except (OverflowError, ValueError):  # ValueError: an exact pole
+            log_abs[i] = math.inf
+    sign = np.ones_like(x)
+    negative = x < 0.0
+    sign[negative] = 1.0 - 2.0 * (np.floor(x[negative]) % 2.0)
+    pole = _near_pole(x)
+    sign[pole], log_abs[pole] = 0.0, np.inf
     return sign, log_abs
 
 
@@ -90,7 +71,8 @@ def _log_inverse_phi(params: WrightParams, n: np.ndarray) -> tuple[np.ndarray, .
     """(sign, log|Gamma(alpha*n + beta) n!|) over float indices n >= 1.
 
     Both gamma factors come from one route call; a pole index gets sign 0."""
-    x = np.concatenate((params.alpha * n + params.beta, n + 1.0))
+    with np.errstate(over="ignore"):  # an alpha*n + beta past the double range
+        x = np.concatenate((params.alpha * n + params.beta, n + 1.0))
     sign, log_abs = _signed_lgamma(x)
     return sign[: n.size], log_abs[: n.size] + log_abs[n.size :]
 
@@ -121,6 +103,8 @@ def gamma(x: float) -> float:
     :class:`OverflowError`; below -171.6 Gamma(x) underflows towards zero.
     """
     sign, log_abs = signed_lgamma(x)
+    if log_abs == math.inf:  # log|Gamma(x)| itself overflowed
+        raise OverflowError("math range error")
     return sign * math.exp(log_abs)
 
 
@@ -218,7 +202,7 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
     an exactly zero sum, 1.0 at z = 0).  Exceeding the cap, or overflowing
     mid-sum, raises :class:`ConvergenceError`; reaching a pole index raises
     :class:`PoleError`.  The coefficients come from the pair's memoised
-    table in two blocks, 1-64 and 65-500; only a longer sum reads the second.
+    table.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -228,25 +212,22 @@ def wright_eval(params: WrightParams, z: complex) -> WrightEval:
     total = 0j
     mass = 0.0
     z_pow = 1.0 + 0j
-    n = 0
-    for stop in (_MIN_TABLE, _MAX_TERMS):
-        sign, _, values = _table(params, stop)
-        for s, c in zip(sign[n:stop].tolist(), values[n:stop].tolist()):
-            n += 1
-            if not s:
-                raise _pole_error(params, [n])
-            z_pow *= z
-            term = c * z_pow
-            if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-                raise ConvergenceError(
-                    f"series term overflowed at n={n} for z={z!r}; "
-                    "argument is outside the supported range"
-                )
-            size = abs(term)
-            total += term
-            mass += size
-            if size <= _TERM_TOL * (1.0 + abs(total)):
-                return WrightEval(total, n, mass / abs(total) if total else math.inf)
+    sign, _, values = (a[:_MAX_TERMS] for a in _table(params, _MAX_TERMS))
+    for n, (s, c) in enumerate(zip(sign.tolist(), values.tolist()), 1):
+        if not s:
+            raise _pole_error(params, [n])
+        z_pow *= z
+        term = c * z_pow
+        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            raise ConvergenceError(
+                f"series term overflowed at n={n} for z={z!r}; "
+                "argument is outside the supported range"
+            )
+        size = abs(term)
+        total += term
+        mass += size
+        if size <= _TERM_TOL * (1.0 + abs(total)):
+            return WrightEval(total, n, mass / abs(total) if total else math.inf)
     raise ConvergenceError(
         f"series did not meet the stopping rule within {_MAX_TERMS} terms for z={z!r}"
     )

@@ -23,7 +23,7 @@ from wrightlens import BoundSequence, bounds
 from wrightlens.laurent import TaylorSeries
 from wrightlens.special import _log_inverse_phi, _pole_error
 
-from param_grids import full_grid
+from param_grids import WRIGHT_PAIRS, full_grid
 
 CP = ClassParams(0.0, 0.0, 2.0)
 WP = WrightParams(0.0, 1.0)
@@ -250,6 +250,26 @@ class TestCoefficientBoundCheck:
     def test_requires_unit_principal(self):
         with pytest.raises(ParameterError):
             coefficient_bound_check(LaurentSeries(2.0, [1.0]), CP, WP)
+
+    @pytest.mark.parametrize("alpha,beta", WRIGHT_PAIRS)
+    def test_records_equal_a_per_coefficient_loop(self, alpha, beta):
+        cp, wp = ClassParams(0.6, 0.2, 5.0), WrightParams(alpha, beta)
+        seq = bound_sequence_closed(cp, wp, 40).values
+        # |a_n| alternates below and above A_n, the first entry exactly on it
+        scale = np.where(np.arange(40) % 2, 1.5, 0.5)
+        scale[0] = 1.0
+        f = LaurentSeries(1.0, seq * scale * np.exp(0.7j * np.arange(40)))
+        report = coefficient_bound_check(f, cp, wp)
+        want = []
+        for n in range(1, 41):
+            abs_a = float(abs(f.coeffs[n - 1]))
+            bound = float(seq[n - 1])
+            want.append((n, abs_a, bound, abs_a <= bound * (1.0 + 1e-9)))
+        got = [(r.n, r.abs_coefficient, r.bound, r.satisfied) for r in report.records]
+        assert got == want
+        assert [tuple(map(type, r)) for r in got] == [(int, float, float, bool)] * 40
+        assert {r.satisfied for r in report.records} == {True, False}
+        assert report.all_satisfied is False
 
 
 class TestSeriesIdentityOracle:

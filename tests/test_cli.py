@@ -92,6 +92,16 @@ class TestPhiTable:
             "n=[1, 3, 5] for alpha=-0.5, beta=0.5\n"
         )
 
+    def test_argument_past_the_double_range_prints_zeros_quietly(self):
+        # alpha*n + beta overflows from n = 2 on; it once printed nan and
+        # leaked RuntimeWarnings
+        argv = ["phi-table", "--alpha", "1.7e308", "--beta", "1", "--n-max", "5"]
+        with spawn(argv, subprocess.PIPE) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+        assert [r.split(",")[1] for r in data_rows(out.decode())] == ["0.0"] * 5
+
 
 class TestBoundsCommand:
     def test_hand_table(self, capsys):
@@ -107,6 +117,15 @@ class TestBoundsCommand:
             assert float(row[1]) == pytest.approx(expected, rel=1e-9)
             assert float(row[2]) == pytest.approx(expected, rel=1e-9)
             assert float(row[3]) < 1e-9
+
+    def test_argument_past_the_double_range_exits_3_quietly(self):
+        argv = ["bounds", "--theta", "0", "--lam", "0.2", "--gamma", "2",
+                "--alpha", "1.7e308", "--beta", "1", "--n-max", "5"]
+        with spawn(argv, subprocess.PIPE) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert out == b""
+        assert err.decode().startswith("error: ") and err.count(b"\n") == 1
 
     def test_lambda_out_of_range_exits_2(self, capsys):
         code, _, _ = run(

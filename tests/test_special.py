@@ -69,11 +69,14 @@ class TestGamma:
     def test_recurrence_identity(self, x):
         assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
-    def test_signed_lgamma_matches_stdlib(self):
-        for x in np.geomspace(0.1, 120.0, 500):
-            sign, log_abs = signed_lgamma(float(x))
-            assert sign == 1.0
-            assert log_abs == pytest.approx(math.lgamma(float(x)), abs=1e-11, rel=1e-13)
+    def test_signed_lgamma_matches_mpmath(self):
+        # independent oracle: 40-digit mpmath, since the route is math.lgamma
+        with mpmath.workdps(40):
+            for x in np.geomspace(0.1, 120.0, 500):
+                sign, log_abs = signed_lgamma(float(x))
+                assert sign == 1.0
+                want = float(mpmath.loggamma(float(x)))
+                assert log_abs == pytest.approx(want, abs=1e-11, rel=1e-13)
 
     def test_signed_lgamma_negative_sign(self):
         # Gamma alternates sign between consecutive negative integers
@@ -84,6 +87,13 @@ class TestGamma:
     def test_large_argument_overflow(self):
         with pytest.raises(OverflowError):
             gamma(172.0)
+
+    @pytest.mark.parametrize("x", [1e306, 1e308])
+    def test_overflow_past_the_log_range(self, x):
+        # log|Gamma(x)| itself leaves the double range here
+        assert signed_lgamma(x) == (1.0, math.inf)
+        with pytest.raises(OverflowError):
+            gamma(x)
 
     @pytest.mark.parametrize("x", [-170.5, -171.7, -200.5, -1000.5])
     def test_far_negative_arguments_underflow(self, x):
@@ -131,6 +141,14 @@ class TestPhi:
     def test_bad_index(self):
         with pytest.raises(ParameterError):
             phi(WrightParams(0.0, 1.0), 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_argument_past_the_double_range_gives_zero(self):
+        # alpha*n + beta is inf from n = 2 on, and phi_1 underflows
+        wp = WrightParams(1.7e308, 1.0)
+        assert phi_values(wp, 5).tolist() == [0.0] * 5
+        assert phi(wp, 3) == 0.0
+        assert wright_eval(wp, 0.5) == (0j, 1, math.inf)
 
     def test_phi_values_matches_scalar(self):
         wp = WrightParams(0.5, 1.5)
@@ -198,7 +216,7 @@ class TestMpmathOracle:
             if not np.finfo(float).tiny <= abs(want) <= np.finfo(float).max:
                 continue  # the reference is not a normal double
             rel = float(abs((got[n - 1] - want) / want))
-            assert rel <= (2e-13 if n <= 20 else 1e-11), (n, rel)
+            assert rel <= (3.5e-14 if n <= 20 else 1e-12), (n, rel)
             checked += 1
         assert checked >= 60
 
@@ -308,7 +326,7 @@ class TestWrightEval:
                 / mpmath.factorial(n),
                 [1, mpmath.inf],
             ))
-        assert abs(result.value - want) / abs(want) == pytest.approx(2.7e-4, rel=0.05)
+        assert abs(result.value - want) / abs(want) == pytest.approx(3.62e-4, rel=0.05)
 
     def test_cancellation_is_one_for_positive_terms(self):
         assert wright_eval(WrightParams(0.0, 1.0), 1.0).cancellation == pytest.approx(
