@@ -3,9 +3,14 @@
 All tabular output is CSV with a leading ``# params:`` comment echoing the
 full configuration, so identical flags produce byte-identical output.
 
+Each ``cmd_*`` computes its whole result, then returns its exit code and an
+ordered list of ``(destination, lines)``: stdout, stderr or an ``--out`` path.
+``_write`` opens every path before it writes a line, so a command that exits
+2, 3 or 5 leaves stdout empty and writes no ``--out`` file.
+
 Exit codes: 0 success, 1 stdout closed before the output was complete,
-2 parameter error, 3 numerical failure, 4 truncation warning under --strict,
-5 malformed input file.
+2 parameter error or unwritable ``--out``, 3 numerical failure, 4 truncation
+warning under --strict, 5 malformed input file.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import argparse
 import os
 import sys
 import warnings
+from contextlib import ExitStack
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -22,17 +29,10 @@ from . import bounds as bounds_mod
 from . import membership as member_mod
 from . import radii as radii_mod
 from .errors import (
-    CoefficientFileError,
-    EvalDomainError,
-    ParameterError,
-    TruncationWarning,
+    CoefficientFileError, EvalDomainError, ParameterError, TruncationWarning
 )
 from .laurent import (
-    GridSpec,
-    _divide,
-    _read_indexed_csv,
-    read_coefficient_csv,
-    write_coefficient_csv,
+    GridSpec, _divide, _fmt, _read_indexed_csv, _table_lines, read_coefficient_csv
 )
 from .special import WrightParams, phi_values, wright_eval
 
@@ -44,6 +44,9 @@ EXIT_TRUNCATION = 4
 EXIT_INPUT = 5
 
 SEED_ENV = "WRIGHTLENS_SEED"
+
+# Where an output goes when it is not an --out path.
+_STDOUT, _STDERR = 1, 2
 
 # Upper bounds on the size flags, checked before any subcommand allocates.
 _SIZE_LIMITS = {
@@ -93,10 +96,6 @@ def _check_size_limits(args) -> None:
             raise ParameterError(f"{flag} must be <= {limit}, got {value!r}")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _operator_fields(args) -> str:
     """The class and kernel parameters as ``# params:`` fields."""
     return (
@@ -106,9 +105,7 @@ def _operator_fields(args) -> str:
 
 
 def _class_params(args) -> bounds_mod.ClassParams:
-    return bounds_mod.ClassParams(
-        args.theta, args.lam, args.gamma, relaxed=getattr(args, "relaxed", False)
-    )
+    return bounds_mod.ClassParams(args.theta, args.lam, args.gamma, args.relaxed)
 
 
 def _wright_params(args) -> WrightParams:
@@ -124,15 +121,13 @@ def _add_wright_args(p):
     p.add_argument("--beta", type=float, required=True)
 
 
-def _add_class_args(p, relaxed=False):
+def _add_class_args(p):
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    if relaxed:
-        p.add_argument(
-            "--relaxed", action="store_true",
-            help="accept gamma in (0, 1] as well",
-        )
+    p.add_argument(
+        "--relaxed", action="store_true", help="accept gamma in (0, 1] as well"
+    )
 
 
 def _add_grid_args(p):
@@ -142,42 +137,35 @@ def _add_grid_args(p):
     p.add_argument("--max-radius", type=float, default=0.95)
 
 
-def cmd_wright(args) -> int:
-    params = _wright_params(args)
+def cmd_wright(args):
     z = parse_complex(args.z)
-    result = wright_eval(params, z)
-    print(f"# params: alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} z={z!r}")
-    print("re,im,terms_used")
-    print(f"{result.value.real!r},{result.value.imag!r},{result.terms}")
-    return EXIT_OK
+    result = wright_eval(_wright_params(args), z)
+    return EXIT_OK, [(_STDOUT, _table_lines(
+        f"alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} z={z!r}",
+        "re,im,terms_used", [(result.value, result.terms)],
+    ))]
 
 
-def cmd_phi_table(args) -> int:
+def cmd_phi_table(args):
     values = phi_values(_wright_params(args), args.n_max)
-    print(
-        f"# params: alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} "
-        f"n_max={args.n_max}"
-    )
-    print("n,phi")
-    for n, v in enumerate(values, start=1):
-        print(f"{n},{float(v)!r}")
-    return EXIT_OK
+    return EXIT_OK, [(_STDOUT, _table_lines(
+        f"alpha={_fmt(args.alpha)} beta={_fmt(args.beta)} n_max={args.n_max}",
+        "n,phi", enumerate(values, start=1),
+    ))]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     cp = _class_params(args)
     wp = _wright_params(args)
     rec = bounds_mod.bound_sequence_recursive(cp, wp, args.n_max)
     clo = bounds_mod.bound_sequence_closed(cp, wp, args.n_max)
-    print(
-        f"# params: {_operator_fields(args)} n_max={args.n_max} relaxed={args.relaxed}"
-    )
-    print("n,A_n_recursive,A_n_closed,rel_diff")
-    for n in range(1, args.n_max + 1):
-        a, b = float(rec.values[n - 1]), float(clo.values[n - 1])
-        rel = abs(a - b) / max(abs(a), abs(b))
-        print(f"{n},{a!r},{b!r},{rel!r}")
-    return EXIT_OK
+    pairs = zip(rec.values.tolist(), clo.values.tolist())
+    rows = ((n, a, b, abs(a - b) / max(abs(a), abs(b)))
+            for n, (a, b) in enumerate(pairs, start=1))
+    return EXIT_OK, [(_STDOUT, _table_lines(
+        f"{_operator_fields(args)} n_max={args.n_max} relaxed={args.relaxed}",
+        "n,A_n_recursive,A_n_closed,rel_diff", rows,
+    ))]
 
 
 def _radius_queries(args, kind: str):
@@ -211,7 +199,7 @@ def _radius_queries(args, kind: str):
     return query, "class_params"
 
 
-def cmd_radius(args) -> int:
+def cmd_radius(args):
     kind = {"star": "starlike", "convex": "convex"}[args.kind]
     if args.curve and args.steps < 1:
         raise ParameterError(f"--steps must be >= 1, got {args.steps!r}")
@@ -223,36 +211,26 @@ def cmd_radius(args) -> int:
             for rho in np.arange(args.steps) / args.steps:
                 q = query(float(rho))
                 rows.append((float(rho), radii_mod.solve_radius(q).radius))
-            print(
-                f"# params: kind={args.kind} curve=True steps={args.steps} "
-                f"source={source} n_max={q.n_max} tol={_fmt(args.tol)}"
+            table = _table_lines(
+                f"kind={args.kind} curve=True steps={args.steps} "
+                f"source={source} n_max={q.n_max} tol={_fmt(args.tol)}",
+                "rho,radius", rows,
             )
-            print("rho,radius")
-            for rho, radius in rows:
-                print(f"{rho!r},{radius!r}")
         else:
             q = query(args.rho)
             result = radii_mod.solve_radius(q)
-            print(
-                f"# params: kind={args.kind} rho={_fmt(args.rho)} source={source} "
-                f"n_max={q.n_max} tol={_fmt(args.tol)}"
+            table = _table_lines(
+                f"kind={args.kind} rho={_fmt(args.rho)} source={source} "
+                f"n_max={q.n_max} tol={_fmt(args.tol)}",
+                "radius,bracket_lo,bracket_hi,n_max_used",
+                [(result.radius, *result.bracket, result.truncation_used)],
             )
-            print("radius,bracket_lo,bracket_hi,n_max_used")
-            print(
-                f"{result.radius!r},{result.bracket[0]!r},{result.bracket[1]!r},"
-                f"{result.truncation_used}"
-            )
-        truncation_hit = any(
-            issubclass(w.category, TruncationWarning) for w in caught
-        )
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-    if truncation_hit and args.strict:
-        return EXIT_TRUNCATION
-    return EXIT_OK
+    hit = any(issubclass(w.category, TruncationWarning) for w in caught)
+    return EXIT_TRUNCATION if hit and args.strict else EXIT_OK, [
+        (_STDOUT, table), (_STDERR, [f"warning: {w.message}\n" for w in caught])]
 
 
-def cmd_member(args) -> int:
+def cmd_member(args):
     cp = _class_params(args)
     wp = _wright_params(args)
     grid = _grid(args)
@@ -269,23 +247,16 @@ def cmd_member(args) -> int:
     tau = member_mod._tau_of_ratio(cp, ratio)
     report = member_mod._membership_report(pts, tau, grid, args.tol)
     suff = member_mod._sufficiency_report(pts, ratio, cp)
-    verdict = report.verdict
-    if not check.all_satisfied:
-        verdict = "not_member"
+    verdict = report.verdict if check.all_satisfied else "not_member"
 
-    lines = [f"# params: {param_line}"]
-    lines.append(
-        f"# bounds: all_satisfied={check.all_satisfied} checked={len(check.records)}"
-    )
-    lines.append(
+    lines = [
+        f"# params: {param_line}",
+        f"# bounds: all_satisfied={check.all_satisfied} checked={len(check.records)}",
         f"# sufficiency: max_offset={_fmt(suff.max_offset)} "
-        f"threshold={_fmt(suff.threshold)} holds={suff.holds}"
-    )
-    lines.append(
+        f"threshold={_fmt(suff.threshold)} holds={suff.holds}",
         f"# membership: grid_verdict={report.verdict} "
-        f"min_re_tau={_fmt(report.min_re_tau)} "
-        f"argmin_z={report.argmin_z!r}"
-    )
+        f"min_re_tau={_fmt(report.min_re_tau)} argmin_z={report.argmin_z!r}",
+    ]
     if args.scan:
         scan = member_mod._scan_report((pts, num, den), cp, args.eta_count, args.tol)
         lines.append(
@@ -296,48 +267,35 @@ def cmd_member(args) -> int:
         if scan.vanishes:
             verdict = "not_member"
     lines.append(f"# verdict: {verdict}")
-    for line in lines:
-        print(line)
-
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        out.write(f"# params: {param_line}\n")
-        out.write("z_re,z_im,re_tau\n")
-        for z, value in zip(pts, np.real(tau)):
-            out.write(f"{float(z.real)!r},{float(z.imag)!r},{float(value)!r}\n")
-        out.write(
-            f"# summary: verdict={verdict} min_re_tau={_fmt(report.min_re_tau)}\n"
-        )
-    finally:
-        if args.out:
-            out.close()
-    return EXIT_OK
+    rows = chain(
+        zip(pts, np.real(tau)),
+        [f"summary: verdict={verdict} min_re_tau={_fmt(report.min_re_tau)}"],
+    )
+    return EXIT_OK, [
+        (_STDOUT, [line + "\n" for line in lines]),
+        (args.out or _STDOUT, _table_lines(param_line, "z_re,z_im,re_tau", rows)),
+    ]
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     cp = _class_params(args)
     wp = _wright_params(args)
     w = parse_schwarz(args.schwarz)
     f = member_mod.schwarz_generate(cp, wp, w, args.n_max)
     check = bounds_mod.coefficient_bound_check(f, cp, wp)
     param_line = f"{_operator_fields(args)} schwarz={args.schwarz} n_max={args.n_max}"
-    if args.out:
-        with open(args.out, "w") as handle:
-            write_coefficient_csv(handle, f, param_line)
-    else:
-        write_coefficient_csv(sys.stdout, f, param_line)
-    print(f"# params: {param_line}")
-    print("n,abs_a,bound,within")
-    for record in check.records:
-        print(
-            f"{record.n},{record.abs_coefficient!r},{record.bound!r},"
-            f"{record.satisfied}"
-        )
-    print(f"# bounds: all_satisfied={check.all_satisfied}")
-    return EXIT_OK
+    rows = chain(
+        ((r.n, r.abs_coefficient, r.bound, r.satisfied) for r in check.records),
+        [f"bounds: all_satisfied={check.all_satisfied}"],
+    )
+    return EXIT_OK, [
+        (args.out or _STDOUT,
+         _table_lines(param_line, "n,re,im", enumerate(f.coeffs.tolist(), start=1))),
+        (_STDOUT, _table_lines(param_line, "n,abs_a,bound,within", rows)),
+    ]
 
 
-def cmd_verify_identities(args) -> int:
+def cmd_verify_identities(args):
     if args.n_max < 1:
         raise ParameterError(f"--n-max must be >= 1, got {args.n_max!r}")
     if args.random < 0:
@@ -357,31 +315,30 @@ def cmd_verify_identities(args) -> int:
             raw = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
             raw *= rng.uniform(0.05, 0.4) / np.sum(np.abs(raw))
             # from z^2 up: w'(0) = 0, as for every Schwarz function of the class
-            functions.append(
-                (f"random_{i}", member_mod.SchwarzFunction(np.r_[0j, raw]))
-            )
-    # every member and its residuals first, so a failing one prints nothing
+            w = member_mod.SchwarzFunction(np.r_[0j, raw])
+            functions.append((f"random_{i}", w))
     results = []
     for label, w in functions:
         f = member_mod.schwarz_generate(cp, wp, w, args.n_max)
         tau = member_mod.caratheodory_series(w, args.n_max + 1)
-        results.append((
-            label,
-            bounds_mod.series_identity_oracle(f, tau, cp, wp),
-            bounds_mod.extraction_residuals(f, tau, cp, wp),
-        ))
-    print(f"# params: {_operator_fields(args)} n_max={args.n_max} seed={get_seed()}")
-    print("schwarz,power,residual_abs")
-    for label, res, (first, phased, unphased) in results:
-        for power, value in zip(res.powers, res.residuals):
-            print(f"{label},{int(power)},{float(abs(value))!r}")
-        print(
-            f"# extraction[{label}]: first={float(abs(first))!r} "
-            f"phased_max={float(np.max(np.abs(phased))) if phased.size else 0.0!r} "
-            f"unphased_max="
-            f"{float(np.max(np.abs(unphased))) if unphased.size else 0.0!r}"
-        )
-    return EXIT_OK
+        results.append((label, bounds_mod.series_identity_oracle(f, tau, cp, wp),
+                        bounds_mod.extraction_residuals(f, tau, cp, wp)))
+
+    def rows():
+        for label, res, (first, phased, unphased) in results:
+            for power, value in zip(res.powers, res.residuals):
+                yield label, int(power), abs(value)
+            yield (
+                f"extraction[{label}]: first={float(abs(first))!r} "
+                f"phased_max={float(np.max(np.abs(phased))) if phased.size else 0.0!r} "
+                f"unphased_max="
+                f"{float(np.max(np.abs(unphased))) if unphased.size else 0.0!r}"
+            )
+
+    return EXIT_OK, [(_STDOUT, _table_lines(
+        f"{_operator_fields(args)} n_max={args.n_max} seed={get_seed()}",
+        "schwarz,power,residual_abs", rows(),
+    ))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phi_table)
 
     p = sub.add_parser("bounds", help="coefficient-bound table, both methods")
-    _add_class_args(p, relaxed=True)
+    _add_class_args(p)
     _add_wright_args(p)
     p.add_argument("--n-max", type=int, default=50)
     p.set_defaults(func=cmd_bounds)
@@ -432,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("member", help="membership verdict for a coefficient file")
-    _add_class_args(p, relaxed=True)
+    _add_class_args(p)
     _add_wright_args(p)
     p.add_argument("--coeffs", required=True, help="CSV file with header n,re,im")
     _add_grid_args(p)
@@ -443,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("generate", help="build a member from a Schwarz function")
-    _add_class_args(p, relaxed=True)
+    _add_class_args(p)
     _add_wright_args(p)
     p.add_argument(
         "--schwarz", required=True,
@@ -457,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-identities",
         help="residuals of the defining relation and extraction identities",
     )
-    _add_class_args(p, relaxed=True)
+    _add_class_args(p)
     _add_wright_args(p)
     p.add_argument("--schwarz", default=None)
     p.add_argument("--random", type=int, default=0, metavar="COUNT")
@@ -467,19 +424,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(outputs) -> None:
+    """Write each output's lines in order, every ``--out`` file opened first;
+    ``sys.stdout``/``sys.stderr`` are read only now, so redirections hold."""
+    with ExitStack() as stack:
+        streams = {_STDOUT: sys.stdout, _STDERR: sys.stderr}
+        for dest, _ in outputs:
+            if dest not in streams:
+                try:
+                    streams[dest] = stack.enter_context(open(dest, "w"))
+                except OSError as exc:
+                    message = f"cannot write {dest}: {exc.strerror}"
+                    raise ParameterError(message) from None
+        for dest, lines in outputs:
+            streams[dest].writelines(lines)
+
+
 def _run(args) -> int:
     try:
         _check_size_limits(args)
-        return args.func(args)
-    except CoefficientFileError as exc:
+        # a floating-point fault that no layer handles is a numerical failure
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            code, outputs = args.func(args)
+            _write(outputs)
+        return code
+    except (
+        ParameterError, CoefficientFileError, ArithmeticError, EvalDomainError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except (ArithmeticError, EvalDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, CoefficientFileError):
+            return EXIT_INPUT
+        return EXIT_PARAMETER if isinstance(exc, ParameterError) else EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:

@@ -269,14 +269,18 @@ def _first_tied(values: np.ndarray, low: float) -> int:
     return int(np.argmax(values <= low * (1.0 + math.copysign(_TIE_RTOL, low))))
 
 
+# The largest index a coefficient or weight file may use: it sizes the table.
+_MAX_INDEX = 10_000
+
+
 def _read_indexed_csv(path, header: tuple[str, ...]) -> np.ndarray:
     """Read rows ``n,v_1,..,v_k`` under exactly the k+1 column ``header``.
 
-    The table has shape (max n, k) and row n >= 1 fills table row n-1;
-    indices may appear in any order and absent ones are zero.  Lines
-    starting with ``#`` are ignored.  Malformed content, a non-finite value
-    included, raises
-    :class:`CoefficientFileError` with the offending line.
+    The table has shape (max n, k) and row n, 1 <= n <= ``_MAX_INDEX``,
+    fills table row n-1; indices may appear in any order and absent ones
+    are zero.  Lines starting with ``#`` are ignored.  Malformed content, a
+    non-finite value included, raises :class:`CoefficientFileError` with
+    the offending line.
     """
     name = ",".join(header)
     entries: dict[int, list[float]] = {}
@@ -310,8 +314,9 @@ def _read_indexed_csv(path, header: tuple[str, ...]) -> np.ndarray:
                 raise CoefficientFileError(
                     f"line {line_no}: {exc}", line=line_no
                 ) from exc
-            if n < 1 or n in entries:
-                problem = "is below 1" if n < 1 else "is a duplicate"
+            if n < 1 or n > _MAX_INDEX or n in entries:
+                problem = ("is below 1" if n < 1 else "is a duplicate" if n in entries
+                           else f"is above {_MAX_INDEX}")
                 raise CoefficientFileError(
                     f"line {line_no}: index {n} {problem}", line=line_no
                 )
@@ -331,10 +336,29 @@ def read_coefficient_csv(path) -> LaurentSeries:
     return LaurentSeries(1.0, table.view(complex)[:, 0])
 
 
+def _fmt(x) -> str:
+    """A float by ``repr``, a complex as two fields, real and imaginary."""
+    if isinstance(x, complex):
+        return f"{float(x.real)!r},{float(x.imag)!r}"
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _table_lines(params: str, header: str, rows):
+    """The lines of one CSV table: ``# params:``, the header, one per row.
+
+    A row is a tuple of fields (:func:`_fmt`) or a string, written as
+    a ``#`` line.  Rows are read only as the lines are.
+    """
+    yield f"# params: {params}\n"
+    yield f"{header}\n"
+    for row in rows:
+        if isinstance(row, str):
+            yield f"# {row}\n"
+        else:
+            yield ",".join(map(_fmt, row)) + "\n"
+
+
 def write_coefficient_csv(stream, f: LaurentSeries, params_comment: str) -> None:
     """Write the tail of ``f`` in the ``n,re,im`` format with a # params line."""
-    stream.write(f"# params: {params_comment}\n")
-    stream.write("n,re,im\n")
-    for n in range(1, f.truncation + 1):
-        a = complex(f.coeffs[n - 1])
-        stream.write(f"{n},{a.real!r},{a.imag!r}\n")
+    rows = enumerate(f.coeffs.tolist(), start=1)
+    stream.writelines(_table_lines(params_comment, "n,re,im", rows))

@@ -4,15 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wrightlens.cli import main, parse_complex
+from wrightlens.cli import _SIZE_LIMITS, main, parse_complex
 from wrightlens import ParameterError, WrightParams, phi_values, read_coefficient_csv
 from param_grids import class_grid
 
@@ -466,6 +468,14 @@ class TestMemberCommand:
         assert "line 1" in err
         assert "n,re,im" in err
 
+    def test_index_past_the_bound_exits_5(self, capsys, tmp_path):
+        # the largest index sizes the table the file is read into
+        path = tmp_path / "far.csv"
+        path.write_text("n,re,im\n10001,0.1,0\n")
+        code, out, err = run(capsys, "member", *self.CLASS_ARGS, "--coeffs", str(path))
+        assert (code, out) == (5, "")
+        assert err == "error: line 2: index 10001 is above 10000\n"
+
     def test_non_finite_value_exits_5_with_line(self, capsys, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("n,re,im\n2,0.5,0.0\n1,inf,0\n")
@@ -507,6 +517,18 @@ class TestMemberCommand:
         assert err == f"error: tol must be finite and nonnegative, got {float(tol)!r}\n"
         assert not out_path.exists()
 
+    def test_unwritable_out_exits_2_before_output(self, capsys, tmp_path):
+        # the five summary lines and a FileNotFoundError traceback came first
+        coeffs = tmp_path / "empty.csv"
+        coeffs.write_text("n,re,im\n")
+        out_path = tmp_path / "missing" / "grid.csv"
+        code, out, err = run(
+            capsys, "member", *self.CLASS_ARGS, "--coeffs", str(coeffs),
+            "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {out_path}: No such file or directory\n"
+
 
 class TestGenerateCommand:
     CLASS_ARGS = ["--theta", "0", "--lam", "0", "--gamma", "2",
@@ -521,6 +543,15 @@ class TestGenerateCommand:
         assert code == 0
         f = read_coefficient_csv(out_path)
         assert np.all(f.coeffs == 0)
+
+    def test_unwritable_out_exits_2_before_output(self, capsys, tmp_path):
+        # a FileNotFoundError traceback once ended this
+        code, out, err = run(
+            capsys, "generate", *self.CLASS_ARGS, "--schwarz", "0,0.4",
+            "--out", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
     def test_boundary_mass_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", *self.CLASS_ARGS, "--schwarz", "0,1.0")
@@ -835,3 +866,110 @@ class TestSizeLimits:
         assert code == 2
         assert out == ""
         assert err == "error: --random must be >= 0, got -1\n"
+
+
+# One small valid invocation per subcommand: the argv prefix, then every value
+# flag with its valid value (None: absent unless a bad value is drawn) and the
+# bare flags that may be added.  "{tmp}" stands for the example's directory.
+FUZZ_CLASS = {"--theta": "0.3", "--lam": "0.2", "--gamma": "2",
+              "--alpha": "0.5", "--beta": "1.5"}
+FUZZ_COMMANDS = {
+    "wright": (["wright"], {"--alpha": "0.5", "--beta": "1.5", "--z": "0.3+0.1i"}, []),
+    "phi-table": (["phi-table"], {"--alpha": "0.5", "--beta": "1.5", "--n-max": "8"}, []),
+    "bounds": (["bounds"], {**FUZZ_CLASS, "--n-max": "8"}, ["--relaxed"]),
+    "radius": (
+        ["radius", "star"],
+        {**FUZZ_CLASS, "--rho": "0.2", "--tol": "1e-6", "--n-max": "8", "--steps": "3",
+         "--extremal-n": None, "--weights": None},
+        ["--curve", "--strict"],
+    ),
+    "member": (
+        ["member"],
+        {**FUZZ_CLASS, "--coeffs": "{tmp}/coeffs.csv", "--grid-radii": "8",
+         "--grid-angles": "32", "--min-radius": "0.1", "--max-radius": "0.9",
+         "--tol": "1e-6", "--eta-count": "4", "--out": "{tmp}/grid.csv"},
+        ["--scan", "--relaxed"],
+    ),
+    "generate": (
+        ["generate"],
+        {**FUZZ_CLASS, "--schwarz": "0,0.3", "--n-max": "8", "--out": "{tmp}/out.csv"},
+        ["--relaxed"],
+    ),
+    "verify-identities": (
+        ["verify-identities"],
+        {**FUZZ_CLASS, "--schwarz": "0,0.3", "--random": "2", "--n-max": "8"},
+        ["--relaxed"],
+    ),
+}
+FUZZ_FILES = {
+    "coeffs.csv": "n,re,im\n1,0.1,0\n2,0.05,0.01\n",
+    "empty.csv": "",
+    "no_rows.csv": "n,weight\n",
+    "wide.csv": "n,re,im,extra\n1,0.1,0,7\n",
+    "word.csv": "n,re,im\n1,one,0\n",
+    "nan.csv": "n,re,im\n1,nan,0\n",
+    "huge.csv": "n,re,im\n1,1e308,1e308\n",
+    "index_zero.csv": "n,re,im\n0,0.1,0\n",
+    "index_past_bound.csv": "n,re,im\n10001,0.1,0\n",
+    "weight_index_past_bound.csv": "n,weight\n10001,0.5\n",
+    "duplicate.csv": "n,weight\n1,0.5\n1,0.5\n",
+    "weight_inf.csv": "n,weight\n1,inf\n",
+    "weight_negative.csv": "n,weight\n1,-1\n",
+    "weight_huge.csv": "n,weight\n1,1e308\n2,1e308\n",
+}
+SIZE_LIMITS = {flag: limit for flag, limit in _SIZE_LIMITS.values()}
+
+
+def fuzz_values(flag):
+    """Bad values for one flag."""
+    if flag in SIZE_LIMITS:
+        return ["0", "-1", str(SIZE_LIMITS[flag] + 1)]
+    if flag in ("--coeffs", "--weights"):
+        return [f"{{tmp}}/{name}" for name in [*FUZZ_FILES, "missing.csv"]]
+    if flag == "--out":
+        return ["{tmp}/missing/out.csv", "{tmp}"]
+    if flag == "--z":
+        return ["nan", "inf", "1e308", "-1e308-1e308i", "0"]
+    if flag == "--schwarz":
+        return ["0,nan", "0,inf", "0,1", "0,-1e308", "0,0.5,0.5", "nan"]
+    return ["nan", "inf", "-inf", "-1.5", "0", "1e308"]
+
+
+@st.composite
+def bad_invocations(draw):
+    prefix, flags, bare = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
+    flags = dict(flags)
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2,
+                              unique=True)):
+        flags[flag] = draw(st.sampled_from(fuzz_values(flag)))
+    argv = [*prefix, *(draw(st.lists(st.sampled_from(bare), unique=True)) if bare else [])]
+    # "--flag=value", so that argparse takes "-inf" as a value, not a flag
+    return argv + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+
+
+class TestFuzzedFlags:
+    """Bad flag values and input files end in one documented exit code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=bad_invocations())
+    @example(argv=["member", "--coeffs={tmp}/coeffs.csv", "--out={tmp}/missing/out.csv",
+                   *chain.from_iterable(FUZZ_CLASS.items())])
+    @example(argv=["generate", "--schwarz=0,0.3", "--out={tmp}",
+                   *chain.from_iterable(FUZZ_CLASS.items())])
+    def test_exit_code_is_documented_and_failures_write_nothing(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in FUZZ_FILES.items():
+                Path(tmp, name).write_text(text)
+            argv = [token.replace("{tmp}", tmp) for token in argv]
+            out_path = next((t[6:] for t in argv if t.startswith("--out=")), None)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+            assert code in (0, 2, 3, 4, 5), err.getvalue()
+            if code in (2, 3, 5):
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert out_path is None or not os.path.isfile(out_path)

@@ -339,6 +339,15 @@ class TestSchwarzGenerate:
         with pytest.raises(PoleError):
             schwarz_generate(CP, WrightParams(-0.5, 0.5), SchwarzFunction([0.1]), 3)
 
+    @pytest.mark.parametrize("pair", WRIGHT_PAIRS)
+    def test_past_cap_errors(self, pair):
+        cp, wp = ClassParams(0.6, 0.2, 2.0), WrightParams(*pair)
+        cap = ORDER_CAP[pair]
+        for n in (cap, cap + 1, 200):
+            with pytest.raises(OverflowError) as excinfo:
+                schwarz_generate(cp, wp, GRID_SCHWARZ, n)
+            assert str(excinfo.value) == f"a_{cap} exceeds the floating-point range"
+
 
 class TestConvolutionKernel:
     def test_hand_principal_and_tail(self):
@@ -688,6 +697,10 @@ class TestBitIdenticalRecursions:
         want = oracles.caratheodory_tau(coeffs, n_max)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
+
+class TestCaratheodorySeries:
+    """The series tau = (1 + w)/(1 - w) of a Schwarz function w."""
+
     @pytest.mark.parametrize("c, power", [(0.3, 2), (-0.4 + 0.2j, 3), (0.9j, 1)])
     def test_caratheodory_oracle_matches_closed_form(self, c, power):
         # w = c z^k gives tau = 1 + 2 sum_{j>=1} c^j z^{jk}
@@ -697,15 +710,6 @@ class TestBitIdenticalRecursions:
         for j in range(1, 30 // power + 1):
             want[j * power] = 2 * c**j
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("pair", WRIGHT_PAIRS)
-    def test_past_cap_errors(self, pair):
-        cp, wp = ClassParams(0.6, 0.2, 2.0), WrightParams(*pair)
-        cap = ORDER_CAP[pair]
-        for n in (cap, cap + 1, 200):
-            with pytest.raises(OverflowError) as excinfo:
-                schwarz_generate(cp, wp, GRID_SCHWARZ, n)
-            assert str(excinfo.value) == f"a_{cap} exceeds the floating-point range"
 
 
 @pytest.fixture(scope="class")
