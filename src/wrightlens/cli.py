@@ -32,7 +32,8 @@ from .errors import (
     CoefficientFileError, EvalDomainError, ParameterError, TruncationWarning
 )
 from .laurent import (
-    GridSpec, _divide, _fmt, _read_indexed_csv, _table_lines, read_coefficient_csv
+    _MAX_INDEX, GridSpec, _divide, _fmt, _in_range, _read_indexed_csv, _table_lines,
+    read_coefficient_csv,
 )
 from .special import WrightParams, phi_values, wright_eval
 
@@ -50,7 +51,7 @@ _STDOUT, _STDERR = 1, 2
 
 # Upper bounds on the size flags, checked before any subcommand allocates.
 _SIZE_LIMITS = {
-    "n_max": ("--n-max", 10_000),
+    "n_max": ("--n-max", _MAX_INDEX),
     "steps": ("--steps", 10_000),
     "eta_count": ("--eta-count", 4_096),
     "grid_radii": ("--grid-radii", 1_024),
@@ -241,12 +242,17 @@ def cmd_member(args):
     )
 
     check = bounds_mod.coefficient_bound_check(f, cp, wp)
-    # one grid evaluation; a vanishing denominator raises here, before any output
-    pts, num, den = member_mod._grid_parts(f, cp, wp, grid)
-    ratio = _divide(num, den, pts)
-    tau = member_mod._tau_of_ratio(cp, ratio)
-    report = member_mod._membership_report(pts, tau, grid, args.tol)
-    suff = member_mod._sufficiency_report(pts, ratio, cp)
+    member_mod._check_tol(args.tol)
+    # one grid evaluation for every check; a vanishing denominator or a value
+    # past the double range raises here, before any output
+    with _in_range("member"):
+        pts, num, den = member_mod._grid_parts(f, cp, wp, grid)
+        ratio = _divide(num, den, pts)
+        tau = member_mod._tau_of_ratio(cp, ratio)
+        report = member_mod._membership_report(pts, tau, grid, args.tol)
+        suff = member_mod._sufficiency_report(pts, ratio, cp)
+        scan = (member_mod._scan_report((pts, num, den), cp, args.eta_count, args.tol)
+                if args.scan else None)
     verdict = report.verdict if check.all_satisfied else "not_member"
 
     lines = [
@@ -258,7 +264,6 @@ def cmd_member(args):
         f"min_re_tau={_fmt(report.min_re_tau)} argmin_z={report.argmin_z!r}",
     ]
     if args.scan:
-        scan = member_mod._scan_report((pts, num, den), cp, args.eta_count, args.tol)
         lines.append(
             f"# scan: min_modulus={_fmt(scan.min_modulus)} "
             f"argmin_eta={scan.argmin_eta!r} argmin_z={scan.argmin_z!r} "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -252,9 +253,24 @@ def _grid_ratio(
     num: LaurentSeries, den: LaurentSeries, spec: GridSpec, r_max: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(polar_grid(spec, r_max), num / den there)`` with :func:`_divide`'s
-    zero guard."""
+    zero guard: the one division of every grid check, each of which runs it
+    inside :func:`_in_range`."""
     pts, (top, bottom) = _grid_values((num, den), spec, r_max)
     return pts, _divide(top, bottom, pts)
+
+
+@contextmanager
+def _in_range(check: str):
+    """Run a grid check's arithmetic with numpy's floating-point faults raised:
+    a value leaving the double range ends ``check`` with :class:`OverflowError`
+    naming it, not with a report built on inf or nan and a ``RuntimeWarning``."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise OverflowError(
+            f"{check}: a grid value exceeds the floating-point range ({exc})"
+        ) from None
 
 
 # Grid values within this relative distance of an extremum count as tied.
@@ -269,7 +285,8 @@ def _first_tied(values: np.ndarray, low: float) -> int:
     return int(np.argmax(values <= low * (1.0 + math.copysign(_TIE_RTOL, low))))
 
 
-# The largest index a coefficient or weight file may use: it sizes the table.
+# The largest index a coefficient or weight file may use (it sizes the table),
+# and the bound of the CLI's --n-max.
 _MAX_INDEX = 10_000
 
 

@@ -42,7 +42,9 @@ from .laurent import (
     _as_coeff_array,
     _divide,
     _first_tied,
+    _grid_ratio,
     _grid_values,
+    _in_range,
     apply_operator,
     evaluate,
     lambda_mix,
@@ -143,7 +145,7 @@ def _grid_parts(
     f: LaurentSeries, cp: ClassParams, wp: WrightParams, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(polar_grid(grid), zH' there, mix(H) there)``, ring by ring (see
-    ``laurent._grid_values``): membership, sufficiency and the scan read it."""
+    ``laurent._grid_values``): the scan and the CLI's ``member`` read it."""
     pts, (num, den) = _grid_values(_ratio_parts(f, cp, wp), grid)
     return pts, num, den
 
@@ -156,7 +158,6 @@ class MembershipReport:
     argmin_z: complex
     grid_spec: GridSpec
     verdict: str  # "member" | "not_member" | "inconclusive"
-    diagnostic: str | None = None
 
 
 def membership_check(
@@ -168,18 +169,16 @@ def membership_check(
 ) -> MembershipReport:
     """Minimize Re tau over the polar grid and classify the sign.
 
-    ``member`` needs the minimum above +tol, ``not_member`` below -tol;
-    anything inside the band -- or a division failure -- is inconclusive.
-    The reported point is the first grid point tied with the minimum, as in
-    :func:`convolution_scan`.  tol must be finite and nonnegative.
+    ``member`` needs the minimum above +tol, ``not_member`` below -tol, and
+    anything between is inconclusive.  The reported point is the first grid
+    point tied with the minimum, as in :func:`convolution_scan`.  tol must be
+    finite and nonnegative.  A zero of mix(H) on the grid raises
+    :class:`SeriesDivisionError`, a value past the double range OverflowError.
     """
-    pts, num, den = _grid_parts(f, cp, wp, grid)
-    try:
-        ratio = _divide(num, den, pts)
-    except SeriesDivisionError as exc:
-        _check_tol(tol)
-        return MembershipReport(math.nan, exc.at, grid, "inconclusive", str(exc))
-    return _membership_report(pts, _tau_of_ratio(cp, ratio), grid, tol)
+    _check_tol(tol)
+    with _in_range("membership_check"):
+        pts, ratio = _grid_ratio(*_ratio_parts(f, cp, wp), grid)
+        return _membership_report(pts, _tau_of_ratio(cp, ratio), grid, tol)
 
 
 def _check_tol(tol: float) -> None:
@@ -191,7 +190,6 @@ def _membership_report(
     pts: np.ndarray, tau: np.ndarray, grid: GridSpec, tol: float
 ) -> MembershipReport:
     """The :func:`membership_check` verdict on tau sampled at ``pts``."""
-    _check_tol(tol)
     re = np.real(tau)
     lowest = float(re.min())
     if lowest > tol:
@@ -408,7 +406,8 @@ def convolution_scan(
     first tied eta are reported, so the report does not hang on the order
     of the floating-point operations.
     """
-    return _scan_report(_grid_parts(f, cp, wp, grid), cp, eta_count, tol)
+    with _in_range("convolution_scan"):
+        return _scan_report(_grid_parts(f, cp, wp, grid), cp, eta_count, tol)
 
 
 def _scan_report(
@@ -452,8 +451,8 @@ def sufficiency_predicate(
     sufficient for membership; the grid version witnesses only the sampled
     points, and reports the first grid point tied with the maximum.
     """
-    pts, num, den = _grid_parts(f, cp, wp, grid)
-    return _sufficiency_report(pts, _divide(num, den, pts), cp)
+    with _in_range("sufficiency_predicate"):
+        return _sufficiency_report(*_grid_ratio(*_ratio_parts(f, cp, wp), grid), cp)
 
 
 def _sufficiency_report(

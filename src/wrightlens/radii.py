@@ -36,7 +36,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, TruncationWarning
-from .laurent import GridSpec, LaurentSeries, _first_tied, _grid_ratio, z_derivative
+from .laurent import (
+    GridSpec, LaurentSeries, _first_tied, _grid_ratio, _in_range, z_derivative
+)
 
 __all__ = [
     "RadiusQuery",
@@ -407,11 +409,13 @@ def starlike_predicate(
     """Check |z h'(z)/h(z) + 1| <= 1 - rho on a polar grid of radius <= r.
 
     Also evaluates the defining condition -Re(z h'/h) > rho at the same
-    points.  A zero of h on the grid raises :class:`SeriesDivisionError`.
+    points.  A zero of h on the grid raises :class:`SeriesDivisionError`, a
+    value past the double range :class:`OverflowError`.
     """
     _check_predicate_args(rho, r)
-    pts, ratio = _grid_ratio(z_derivative(h), h, grid, r)
-    return _predicate_report("starlike", rho, r, pts, ratio + 1.0)
+    with _in_range("starlike_predicate"):
+        pts, ratio = _grid_ratio(z_derivative(h), h, grid, r)
+        return _predicate_report("starlike", rho, r, pts, ratio + 1.0)
 
 
 def convex_predicate(
@@ -422,11 +426,13 @@ def convex_predicate(
     Uses z h'' + 2 h' = sum n(n+1) a_n z^{n-1}: the pole contributions cancel
     exactly, so with numerator and denominator both multiplied by z the
     numerator is the series sum n(n+1) a_n z^n.  A zero of h' on the grid
-    raises :class:`SeriesDivisionError`.
+    raises :class:`SeriesDivisionError`, a value past the double range
+    :class:`OverflowError`.
     """
     _check_predicate_args(rho, r)
     n = np.arange(1, h.truncation + 1)
-    numer = LaurentSeries(0.0, n * (n + 1) * h.coeffs)
     # z (z h'' + 2 h') / (z h') IS the quantity z h''/h' + 2; no further shift.
-    pts, q = _grid_ratio(numer, z_derivative(h), grid, r)
-    return _predicate_report("convex", rho, r, pts, q)
+    with _in_range("convex_predicate"):
+        numer = LaurentSeries(0.0, n * (n + 1) * h.coeffs)
+        pts, q = _grid_ratio(numer, z_derivative(h), grid, r)
+        return _predicate_report("convex", rho, r, pts, q)

@@ -500,6 +500,23 @@ class TestMemberCommand:
         assert err == "error: denominator vanishes at z=(0.5+0j)\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "entry, scan, reason",
+        [("1e308,1e308", [], "ifft"), ("1e308,1e308", ["--scan"], "ifft"),
+         ("1e308,0", ["--scan"], "add")],
+    )
+    def test_values_past_the_double_range_exit_3(self, capsys, tmp_path, entry,
+                                                 scan, reason):
+        # a real 1e308 keeps tau finite and overflows only the scan's X + eta Y
+        coeffs = tmp_path / "huge.csv"
+        coeffs.write_text(f"n,re,im\n1,{entry}\n")
+        code, out, err = run(
+            capsys, "member", *self.CLASS_ARGS, "--coeffs", str(coeffs), *scan
+        )
+        assert (code, out) == (3, "")
+        assert err == ("error: member: a grid value exceeds the floating-point "
+                       f"range (overflow encountered in {reason})\n")
+
     @pytest.mark.parametrize("scan", [[], ["--scan"]])
     @pytest.mark.parametrize("tol", ["-10", "nan", "inf", "-inf"])
     def test_invalid_tol_exits_2_before_output(self, capsys, tmp_path, tol, scan):

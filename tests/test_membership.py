@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -585,13 +586,11 @@ class TestZeroDenominatorGuard:
             sufficiency_predicate(f, CP, wp, self.GRID)
         assert excinfo.value.at == 0.5
 
-    def test_membership_check_inconclusive(self, case):
+    def test_membership_check(self, case):
         f, wp = case
-        report = membership_check(f, CP, wp, self.GRID)
-        assert report.verdict == "inconclusive"
-        assert report.argmin_z == 0.5
-        assert math.isnan(report.min_re_tau)
-        assert "vanishes" in report.diagnostic
+        with pytest.raises(SeriesDivisionError) as excinfo:
+            membership_check(f, CP, wp, self.GRID)
+        assert excinfo.value.at == 0.5
 
     def test_membership_check_rejects_invalid_tol(self, case):
         f, wp = case
@@ -609,6 +608,42 @@ class TestZeroDenominatorGuard:
         with pytest.raises(SeriesDivisionError) as excinfo:
             convex_predicate(LaurentSeries(1.0, [4.0]), 0.0, 0.5)
         assert excinfo.value.at == 0.5
+
+
+GRID_CHECKS = {
+    "membership_check": lambda f: membership_check(f, CP, WP),
+    "sufficiency_predicate": lambda f: sufficiency_predicate(f, CP, WP),
+    "convolution_scan": lambda f: convolution_scan(f, CP, WP),
+    "starlike_predicate": lambda f: starlike_predicate(f, 0.0, 0.95),
+    "convex_predicate": lambda f: convex_predicate(f, 0.0, 0.95),
+}
+
+
+class TestGridValuesPastTheDoubleRange:
+    """A coefficient near the top of the double range: each grid check either
+    keeps a finite report or raises OverflowError naming itself, and no numpy
+    RuntimeWarning escapes.  phi_1 = 1 at (0, 1), so H = f."""
+
+    @pytest.mark.parametrize("name", GRID_CHECKS)
+    def test_complex_coefficient_overflows_every_check(self, name):
+        # the inverse FFT of a ring overflows before any division
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=f"^{name}: a grid value exceeds"):
+                GRID_CHECKS[name](LaurentSeries(1.0, [1e308 + 1e308j]))
+
+    def test_real_coefficient_overflows_only_the_scan(self):
+        # R and tau stay finite; X + eta Y of the scan does not
+        f = LaurentSeries(1.0, [1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^convolution_scan: "):
+                convolution_scan(f, CP, WP)
+            report = membership_check(f, CP, WP)
+            suff = sufficiency_predicate(f, CP, WP)
+        assert report.verdict == "member"
+        assert math.isfinite(report.min_re_tau)
+        assert math.isfinite(suff.max_offset) and suff.holds
 
 
 @pytest.mark.parametrize(
@@ -673,10 +708,10 @@ def division_inputs(draw):
     return num, np.concatenate((complexes(1, 0.5, 4.0), complexes(m - 1, 0.0, 1.0)))
 
 
-class TestBitIdenticalRecursions:
+class TestSeriesDivide:
     @settings(max_examples=40, deadline=None)
     @given(division_inputs())
-    def test_series_divide(self, inputs):
+    def test_backward_error(self, inputs):
         # backward error: out * den reproduces num row by row to a few
         # rounding errors of the row's terms; the residual is formed in
         # extended precision so that its own rounding stays far below that
@@ -688,6 +723,10 @@ class TestBitIdenticalRecursions:
         scale = np.abs(num) + np.convolve(np.abs(out), np.abs(den))[:n]
         assert np.all(residual <= 4 * (len(den) + 1) * np.finfo(float).eps * scale)
 
+
+class TestCaratheodorySeries:
+    """The series tau = (1 + w)/(1 - w) of a Schwarz function w."""
+
     @pytest.mark.parametrize("n_max", [0, 1, 7, 60, 200])
     @pytest.mark.parametrize(
         "coeffs", [[0.3 - 0.2j], [0.0, 0.25, 0.15], [0.1j, -0.2, 0.05 + 0.3j]]
@@ -696,10 +735,6 @@ class TestBitIdenticalRecursions:
         got = caratheodory_series(SchwarzFunction(coeffs), n_max).coeffs
         want = oracles.caratheodory_tau(coeffs, n_max)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
-
-class TestCaratheodorySeries:
-    """The series tau = (1 + w)/(1 - w) of a Schwarz function w."""
 
     @pytest.mark.parametrize("c, power", [(0.3, 2), (-0.4 + 0.2j, 3), (0.9j, 1)])
     def test_caratheodory_oracle_matches_closed_form(self, c, power):

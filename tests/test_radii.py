@@ -5,7 +5,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wrightlens import (
@@ -435,17 +435,27 @@ def modelled_queries(draw):
         cp = draw(st.sampled_from(CLASS_GRID))
         model = lambda k: operator_weights(cp, WP, k)
     else:
-        seed = draw(st.integers(0, 2**32 - 1))
-
-        def model(k):
-            draws = np.random.default_rng(seed).uniform(0.0, 1.0, k)
-            if source == "shrinking":
-                return draws * (n_max / k)
-            keep = np.random.default_rng(seed + 1).random(k) < 0.1
-            keep[min(k, n_max) - 1] = True
-            return np.where(keep, draws, 0.0)
-
+        model = _seeded_model(source, draw(st.integers(0, 2**32 - 1)), n_max)
     return RadiusQuery(rho, kind, model(n_max), tol, weight_model=model)
+
+
+def _seeded_model(source: str, seed: int, n_max: int):
+    """The "sparse" or "shrinking" weight model of :func:`modelled_queries`."""
+
+    def model(k):
+        draws = np.random.default_rng(seed).uniform(0.0, 1.0, k)
+        if source == "shrinking":
+            return draws * (n_max / k)
+        keep = np.random.default_rng(seed + 1).random(k) < 0.1
+        keep[min(k, n_max) - 1] = True
+        return np.where(keep, draws, 0.0)
+
+    return model
+
+
+# weight 0.27349717 at n_max 1: S stays below 1 up to the edge, the doubled
+# truncation's root is 0.99874
+_SHRINKING_47846 = _seeded_model("shrinking", 47846, 1)
 
 
 # (kind, n) with m_n(0) a power of two: starlike m_n = n + 2, convex n(n + 2)
@@ -512,15 +522,19 @@ class TestRootOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(modelled_queries())
+    @example(RadiusQuery(
+        0.0, "starlike", _SHRINKING_47846(1), 1e-3, weight_model=_SHRINKING_47846
+    ))
     def test_truncation_warnings_match_the_oracle(self, q):
-        # each radius lies at most tol (plus float slack) below its root, so
-        # the 10*tol rule is decided by the two roots up to about 2*tol
+        # each radius lies at most tol (plus float slack) below its root, or
+        # is the edge when the root lies past it (RadiusResult), so the 10*tol
+        # rule is decided by the two roots, capped at the edge, up to about 2*tol
         result, caught = _outcome(q)
         if isinstance(result, str):
             assert _overflows(q, result)
             return
-        refined = _check_oracle(q, result)
-        base = _exact_root(q.kind, q.rho, q.weights, result.bracket[1])
+        refined = min(_check_oracle(q, result), _EDGE)
+        base = min(_exact_root(q.kind, q.rho, q.weights, result.bracket[1]), _EDGE)
         moved = float(abs(base - refined))
         warned = [str(w.message) for w in caught if w.category is TruncationWarning]
         margin = 2.0 * q.tol + 1e-11
