@@ -25,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ParameterError
-from .laurent import LaurentSeries, TaylorSeries, apply_operator, lambda_mix
+from .laurent import LaurentSeries, TaylorSeries, _in_range, apply_operator, lambda_mix
 from .special import WrightParams, _pole_error, _table, phi_values
 
 __all__ = [
@@ -208,6 +208,7 @@ class BoundCheckReport:
     all_satisfied: bool
 
 
+@_in_range("coefficient_bound_check")
 def coefficient_bound_check(
     f: LaurentSeries, cp: ClassParams, wp: WrightParams
 ) -> BoundCheckReport:
@@ -249,6 +250,7 @@ class IdentityResiduals:
         return float(np.max(np.abs(self.residuals))) if self.residuals.size else 0.0
 
 
+@_in_range("series_identity_oracle")
 def series_identity_oracle(
     f: LaurentSeries, tau: TaylorSeries, cp: ClassParams, wp: WrightParams
 ) -> IdentityResiduals:
@@ -290,10 +292,13 @@ def series_identity_oracle(
     powers = np.arange(-1, n_top + 1)
     h_full, d_full = (np.concatenate(([s.principal, 0.0], s.coeffs)) for s in (h, d))
     rhs = np.convolve(d_full, b)[: n_top + 2]
+    if not np.all(np.isfinite(rhs)):  # np.convolve sets no floating-point flag
+        raise FloatingPointError("overflow encountered in convolve")
     residuals = phase * powers * h_full[: n_top + 2] - rhs
     return IdentityResiduals(powers, residuals)
 
 
+@_in_range("extraction_residuals")
 def extraction_residuals(
     f: LaurentSeries, tau: TaylorSeries, cp: ClassParams, wp: WrightParams
 ) -> tuple[complex, np.ndarray, np.ndarray]:
@@ -323,6 +328,8 @@ def extraction_residuals(
     # bracket_n = (1-2 lam) tau_{n+1} + sum_{k=1}^{n-1} u_k tau_{n-k}
     u = ph * (1.0 - lam + np.arange(1, n_top + 1) * lam) * f.coeffs[:n_top]
     cauchy = np.convolve(u, tau.coeffs[1:])[: n_top - 1]
+    if not np.all(np.isfinite(cauchy)):  # as in series_identity_oracle
+        raise FloatingPointError("overflow encountered in convolve")
     bracket = (1.0 - 2.0 * lam) * tau.coeffs[3 : n_top + 2] + cauchy
     lhs = phase * np.arange(3, n_top + 2) * (1.0 - lam) * ph[1:] * f.coeffs[1:n_top]
     phased = lhs + big_l * bracket / phase

@@ -245,14 +245,13 @@ def cmd_member(args):
     member_mod._check_tol(args.tol)
     # one grid evaluation for every check; a vanishing denominator or a value
     # past the double range raises here, before any output
-    with _in_range("member"):
-        pts, num, den = member_mod._grid_parts(f, cp, wp, grid)
-        ratio = _divide(num, den, pts)
-        tau = member_mod._tau_of_ratio(cp, ratio)
-        report = member_mod._membership_report(pts, tau, grid, args.tol)
-        suff = member_mod._sufficiency_report(pts, ratio, cp)
-        scan = (member_mod._scan_report((pts, num, den), cp, args.eta_count, args.tol)
-                if args.scan else None)
+    pts, num, den = member_mod._grid_parts(f, cp, wp, grid)
+    ratio = _divide(num, den, pts)
+    tau = member_mod._tau_of_ratio(cp, ratio)
+    report = member_mod._membership_report(pts, tau, grid, args.tol)
+    suff = member_mod._sufficiency_report(pts, ratio, cp)
+    scan = (member_mod._scan_report((pts, num, den), cp, args.eta_count, args.tol)
+            if args.scan else None)
     verdict = report.verdict if check.all_satisfied else "not_member"
 
     lines = [
@@ -449,7 +448,7 @@ def _run(args) -> int:
     try:
         _check_size_limits(args)
         # a floating-point fault that no layer handles is a numerical failure
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
+        with _in_range(args.command):
             code, outputs = args.func(args)
             _write(outputs)
         return code

@@ -96,6 +96,21 @@ class TaylorSeries:
         object.__setattr__(self, "coeffs", arr)
 
 
+@contextmanager
+def _in_range(name: str):
+    """Raise numpy's floating-point faults, as a ``with`` block or a decorator:
+    a value leaving the double range ends ``name`` (the innermost one covering
+    it) with :class:`OverflowError`, not with a result built on inf or nan."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise OverflowError(
+            f"{name}: a value exceeds the floating-point range ({exc})"
+        ) from None
+
+
+@_in_range("hadamard")
 def hadamard(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     """Coefficientwise product; truncation is the shorter of the two.
 
@@ -107,7 +122,7 @@ def hadamard(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     a, b = f.coeffs[:n], g.coeffs[:n]
     real = a.real * b.real - a.imag * b.imag
     imag = a.real * b.imag + a.imag * b.real
-    p, q = complex(f.principal), complex(g.principal)
+    p, q = np.complex128(f.principal), np.complex128(g.principal)
     principal = complex(
         p.real * q.real - p.imag * q.imag, p.real * q.imag + p.imag * q.real
     )
@@ -119,6 +134,7 @@ def wright_kernel(params: WrightParams, n_max: int) -> LaurentSeries:
     return LaurentSeries(1.0, phi_values(params, n_max).astype(complex))
 
 
+@_in_range("apply_operator")
 def apply_operator(params: WrightParams, f: LaurentSeries) -> LaurentSeries:
     """Multiply tail coefficient n by phi_n(alpha, beta); principal unchanged."""
     return LaurentSeries(
@@ -126,12 +142,14 @@ def apply_operator(params: WrightParams, f: LaurentSeries) -> LaurentSeries:
     )
 
 
+@_in_range("z_derivative")
 def z_derivative(f: LaurentSeries) -> LaurentSeries:
     """z * f'(z): principal negated, tail coefficient n scaled by n."""
     n = np.arange(1, f.truncation + 1)
     return LaurentSeries(-f.principal, f.coeffs * n)
 
 
+@_in_range("lambda_mix")
 def lambda_mix(f: LaurentSeries, lam: float) -> LaurentSeries:
     """(1-lam)*f + lam * z f'(z) for 0 <= lam < 1/2.
 
@@ -146,13 +164,15 @@ def lambda_mix(f: LaurentSeries, lam: float) -> LaurentSeries:
     )
 
 
+@_in_range("evaluate")
 def evaluate(f: LaurentSeries, z):
     """Evaluate at z with 0 < |z| < 1; Horner tail plus principal/z.
 
     Accepts a scalar or an ndarray of points and returns the same shape.
     """
     z_arr = np.asarray(z, dtype=complex)
-    mag = np.abs(z_arr)
+    with np.errstate(over="ignore"):  # a |z| past the double range is out of domain
+        mag = np.abs(z_arr)
     if np.any(mag == 0.0) or np.any(mag >= 1.0) or not np.all(np.isfinite(z_arr)):
         bad = z_arr if z_arr.ndim == 0 else z_arr[(mag == 0.0) | ~(mag < 1.0)][0]
         raise EvalDomainError(
@@ -254,23 +274,9 @@ def _grid_ratio(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(polar_grid(spec, r_max), num / den there)`` with :func:`_divide`'s
     zero guard: the one division of every grid check, each of which runs it
-    inside :func:`_in_range`."""
+    under :func:`_in_range`."""
     pts, (top, bottom) = _grid_values((num, den), spec, r_max)
     return pts, _divide(top, bottom, pts)
-
-
-@contextmanager
-def _in_range(check: str):
-    """Run a grid check's arithmetic with numpy's floating-point faults raised:
-    a value leaving the double range ends ``check`` with :class:`OverflowError`
-    naming it, not with a report built on inf or nan and a ``RuntimeWarning``."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise OverflowError(
-            f"{check}: a grid value exceeds the floating-point range ({exc})"
-        ) from None
 
 
 # Grid values within this relative distance of an extremum count as tied.

@@ -110,10 +110,17 @@ class SchwarzFunction:
         return complex(out) if z_arr.ndim == 0 else out
 
 
+def _finite(name: str, value: complex) -> complex:
+    """``value``, or OverflowError naming it: Python scalars raise no numpy flag."""
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{name} = {value!r} exceeds the floating-point range")
+    return value
+
+
 def _class_map(cp: ClassParams) -> tuple[float, complex]:
     """(R1, beta) of the class map R = R1 + beta (tau - 1)."""
     s = 1.0 - 2.0 * cp.lam
-    return -1.0 / s, -cmath.exp(-1j * cp.theta) * cp.Lambda / s
+    return -1.0 / s, _finite("beta", -cmath.exp(-1j * cp.theta) * cp.Lambda / s)
 
 
 def _ratio_parts(
@@ -130,6 +137,7 @@ def _tau_of_ratio(cp: ClassParams, ratio):
     return 1.0 + (ratio - r1) / beta
 
 
+@_in_range("tau_transform")
 def tau_transform(f: LaurentSeries, cp: ClassParams, wp: WrightParams, z):
     """tau(z) = 1 + (R(z) - R1)/beta for scalar or array z.
 
@@ -160,6 +168,7 @@ class MembershipReport:
     verdict: str  # "member" | "not_member" | "inconclusive"
 
 
+@_in_range("membership_check")
 def membership_check(
     f: LaurentSeries,
     cp: ClassParams,
@@ -176,9 +185,8 @@ def membership_check(
     :class:`SeriesDivisionError`, a value past the double range OverflowError.
     """
     _check_tol(tol)
-    with _in_range("membership_check"):
-        pts, ratio = _grid_ratio(*_ratio_parts(f, cp, wp), grid)
-        return _membership_report(pts, _tau_of_ratio(cp, ratio), grid, tol)
+    pts, ratio = _grid_ratio(*_ratio_parts(f, cp, wp), grid)
+    return _membership_report(pts, _tau_of_ratio(cp, ratio), grid, tol)
 
 
 def _check_tol(tol: float) -> None:
@@ -203,6 +211,7 @@ def _membership_report(
     )
 
 
+@_in_range("a_of_t")
 def a_of_t(cp: ClassParams, w: SchwarzFunction, t):
     """Ratio target A(t) induced by the Schwarz parametrization.
 
@@ -213,7 +222,7 @@ def a_of_t(cp: ClassParams, w: SchwarzFunction, t):
     if np.any(np.abs(t_arr) >= 1.0):
         raise ParameterError("A(t) is defined for |t| < 1")
     r1, beta = _class_map(cp)
-    wt = w(t_arr)
+    wt = np.asarray(w(t_arr))  # numpy arithmetic, so an overflow raises
     out = r1 + beta * (2.0 * wt / (1.0 - wt))
     return complex(out) if t_arr.ndim == 0 else out
 
@@ -294,9 +303,7 @@ def schwarz_generate(
     zero = np.flatnonzero(phi == 0.0)
     n_stop = int(zero[0]) + 1 if zero.size else n_max
     r1, beta = _class_map(cp)
-    d = 2.0 * beta - r1
-    if not cmath.isfinite(d):  # else q1 and P are finite too
-        raise OverflowError(f"2 beta - R1 = {d!r} exceeds the floating-point range")
+    d = _finite("2 beta - R1", 2.0 * beta - r1)  # then q1 and P are finite too
     q0, q1 = 1.0 - cp.lam * r1, -(1.0 + cp.lam * d)
     if abs(q0) < abs(q1) * float(np.sum(np.abs(w.coeffs))):
         w_star = -q0 / q1
@@ -338,9 +345,10 @@ def _kernel_weights(cp: ClassParams) -> tuple[float, complex, float, complex]:
     (1-2 lam) beta mix(H) [(1-eta) tau - (1+eta)]."""
     r1, beta = _class_map(cp)
     s = 1.0 - 2.0 * cp.lam
-    return s, -s * r1, -s, s * (r1 - 2.0 * beta)
+    return s, -s * r1, -s, -s * _finite("2 beta - R1", 2.0 * beta - r1)
 
 
+@_in_range("convolution_kernel")
 def convolution_kernel(
     cp: ClassParams, wp: WrightParams, eta: complex, n_max: int
 ) -> LaurentSeries:
@@ -384,6 +392,7 @@ class ConvolutionScanReport:
     vanishes: bool
 
 
+@_in_range("convolution_scan")
 def convolution_scan(
     f: LaurentSeries,
     cp: ClassParams,
@@ -406,8 +415,7 @@ def convolution_scan(
     first tied eta are reported, so the report does not hang on the order
     of the floating-point operations.
     """
-    with _in_range("convolution_scan"):
-        return _scan_report(_grid_parts(f, cp, wp, grid), cp, eta_count, tol)
+    return _scan_report(_grid_parts(f, cp, wp, grid), cp, eta_count, tol)
 
 
 def _scan_report(
@@ -439,6 +447,7 @@ class SufficiencyReport:
     argmax_z: complex
 
 
+@_in_range("sufficiency_predicate")
 def sufficiency_predicate(
     f: LaurentSeries,
     cp: ClassParams,
@@ -451,8 +460,7 @@ def sufficiency_predicate(
     sufficient for membership; the grid version witnesses only the sampled
     points, and reports the first grid point tied with the maximum.
     """
-    with _in_range("sufficiency_predicate"):
-        return _sufficiency_report(*_grid_ratio(*_ratio_parts(f, cp, wp), grid), cp)
+    return _sufficiency_report(*_grid_ratio(*_ratio_parts(f, cp, wp), grid), cp)
 
 
 def _sufficiency_report(

@@ -403,6 +403,7 @@ def _check_predicate_args(rho: float, r: float) -> None:
         raise ParameterError(f"r must lie in (0, 1), got {r!r}")
 
 
+@_in_range("starlike_predicate")
 def starlike_predicate(
     h: LaurentSeries, rho: float, r: float, grid: GridSpec = GridSpec()
 ) -> PredicateReport:
@@ -413,11 +414,11 @@ def starlike_predicate(
     value past the double range :class:`OverflowError`.
     """
     _check_predicate_args(rho, r)
-    with _in_range("starlike_predicate"):
-        pts, ratio = _grid_ratio(z_derivative(h), h, grid, r)
-        return _predicate_report("starlike", rho, r, pts, ratio + 1.0)
+    pts, ratio = _grid_ratio(z_derivative(h), h, grid, r)
+    return _predicate_report("starlike", rho, r, pts, ratio + 1.0)
 
 
+@_in_range("convex_predicate")
 def convex_predicate(
     h: LaurentSeries, rho: float, r: float, grid: GridSpec = GridSpec()
 ) -> PredicateReport:
@@ -432,7 +433,6 @@ def convex_predicate(
     _check_predicate_args(rho, r)
     n = np.arange(1, h.truncation + 1)
     # z (z h'' + 2 h') / (z h') IS the quantity z h''/h' + 2; no further shift.
-    with _in_range("convex_predicate"):
-        numer = LaurentSeries(0.0, n * (n + 1) * h.coeffs)
-        pts, q = _grid_ratio(numer, z_derivative(h), grid, r)
-        return _predicate_report("convex", rho, r, pts, q)
+    numer = LaurentSeries(0.0, n * (n + 1) * h.coeffs)
+    pts, q = _grid_ratio(numer, z_derivative(h), grid, r)
+    return _predicate_report("convex", rho, r, pts, q)

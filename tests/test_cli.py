@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -514,7 +515,7 @@ class TestMemberCommand:
             capsys, "member", *self.CLASS_ARGS, "--coeffs", str(coeffs), *scan
         )
         assert (code, out) == (3, "")
-        assert err == ("error: member: a grid value exceeds the floating-point "
+        assert err == ("error: member: a value exceeds the floating-point "
                        f"range (overflow encountered in {reason})\n")
 
     @pytest.mark.parametrize("scan", [[], ["--scan"]])
@@ -821,6 +822,19 @@ class TestLargeGamma:
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["0.2", "0"])
+    def test_member_scan_past_the_double_range_exits_3(self, capsys, tmp_path, lam):
+        # the scan's kernel weights once overflowed silently: min_modulus=nan,
+        # vanishes=False and a member verdict, exit 0
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("n,re,im\n1,0.1,0\n")
+        code, out, err = run(
+            capsys, "member", "--theta", "0", "--lam", lam, "--gamma", "1e308",
+            "--alpha", "0", "--beta", "1", "--coeffs", str(coeffs), "--scan",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: 2 beta - R1 = (-inf+0j) exceeds the floating-point range\n"
+
 
 class TestSizeLimits:
     """Oversized size flags exit 2, naming flag and bound, before any work."""
@@ -904,7 +918,7 @@ FUZZ_COMMANDS = {
         ["member"],
         {**FUZZ_CLASS, "--coeffs": "{tmp}/coeffs.csv", "--grid-radii": "8",
          "--grid-angles": "32", "--min-radius": "0.1", "--max-radius": "0.9",
-         "--tol": "1e-6", "--eta-count": "4", "--out": "{tmp}/grid.csv"},
+         "--tol": "1e-6", "--eta-count": "8", "--out": "{tmp}/grid.csv"},
         ["--scan", "--relaxed"],
     ),
     "generate": (
@@ -926,6 +940,8 @@ FUZZ_FILES = {
     "word.csv": "n,re,im\n1,one,0\n",
     "nan.csv": "n,re,im\n1,nan,0\n",
     "huge.csv": "n,re,im\n1,1e308,1e308\n",
+    "largest.csv": "n,re,im\n1,1.7e308,1.7e308\n",
+    "one.csv": "n,re,im\n1,0.1,0\n",
     "index_zero.csv": "n,re,im\n0,0.1,0\n",
     "index_past_bound.csv": "n,re,im\n10001,0.1,0\n",
     "weight_index_past_bound.csv": "n,weight\n10001,0.5\n",
@@ -935,6 +951,8 @@ FUZZ_FILES = {
     "weight_huge.csv": "n,weight\n1,1e308\n2,1e308\n",
 }
 SIZE_LIMITS = {flag: limit for flag, limit in _SIZE_LIMITS.values()}
+# an inf or nan token in output, e.g. "nan", "-inf" or "(inf+nanj)"
+NON_FINITE = re.compile(r"(?<![\w.])(nan|inf)j?(?!\w)")
 
 
 def fuzz_values(flag):
@@ -973,6 +991,9 @@ class TestFuzzedFlags:
                    *chain.from_iterable(FUZZ_CLASS.items())])
     @example(argv=["generate", "--schwarz=0,0.3", "--out={tmp}",
                    *chain.from_iterable(FUZZ_CLASS.items())])
+    @example(argv=["member", "--scan", "--coeffs={tmp}/one.csv",
+                   *chain.from_iterable({**FUZZ_CLASS, "--lam": "0.2",
+                                         "--gamma": "1e308"}.items())])
     def test_exit_code_is_documented_and_failures_write_nothing(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in FUZZ_FILES.items():
@@ -985,6 +1006,8 @@ class TestFuzzedFlags:
                 warnings.simplefilter("error", RuntimeWarning)
                 code = main(argv)
             assert code in (0, 2, 3, 4, 5), err.getvalue()
+            if code == 0:
+                assert not NON_FINITE.search(out.getvalue()), out.getvalue()
             if code in (2, 3, 5):
                 assert out.getvalue() == ""
                 assert err.getvalue().startswith("error: ")

@@ -25,6 +25,7 @@ from wrightlens import (
     convolution_scan,
     convex_predicate,
     evaluate,
+    extraction_residuals,
     hadamard,
     lambda_mix,
     membership_check,
@@ -35,6 +36,7 @@ from wrightlens import (
     starlike_predicate,
     sufficiency_predicate,
     tau_transform,
+    z_derivative,
 )
 
 from wrightlens import laurent, membership
@@ -629,7 +631,7 @@ class TestGridValuesPastTheDoubleRange:
         # the inverse FFT of a ring overflows before any division
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match=f"^{name}: a grid value exceeds"):
+            with pytest.raises(OverflowError, match=f"^{name}: a value exceeds"):
                 GRID_CHECKS[name](LaurentSeries(1.0, [1e308 + 1e308j]))
 
     def test_real_coefficient_overflows_only_the_scan(self):
@@ -644,6 +646,66 @@ class TestGridValuesPastTheDoubleRange:
         assert report.verdict == "member"
         assert math.isfinite(report.min_re_tau)
         assert math.isfinite(suff.max_offset) and suff.holds
+
+
+def tail(*coeffs):
+    return LaurentSeries(1.0, coeffs)
+
+
+HUGE = tail(1e308 + 1e308j)
+BIG_GAMMA = ClassParams(0.0, 0.2, 1e308)
+# Finite, in-domain inputs whose results leave the double range, each with
+# the start of its OverflowError: the function, or the Python-scalar constant
+# that overflowed.  (alpha, beta) is (0, 1) unless stated.
+PAST_THE_RANGE = {
+    "tau_transform": (
+        lambda: tau_transform(HUGE, CP, WP, polar_grid(GridSpec())), "tau_transform"),
+    "coefficient_bound_check": (
+        lambda: coefficient_bound_check(tail(1.7e308 + 1.7e308j), CP, WP),
+        "coefficient_bound_check"),
+    "z_derivative": (lambda: z_derivative(tail(1e308, 1e308)), "z_derivative"),
+    "lambda_mix": (lambda: lambda_mix(tail(*[1e308] * 5), 0.45), "lambda_mix"),
+    "hadamard": (lambda: hadamard(HUGE, HUGE), "hadamard"),
+    "hadamard-principal": (
+        lambda: hadamard(LaurentSeries(1e308), LaurentSeries(1e308)), "hadamard"),
+    "evaluate": (lambda: evaluate(tail(1e308, 1e308, 1e308), 0.9), "evaluate"),
+    "convolution_kernel": (
+        lambda: convolution_kernel(BIG_GAMMA, WP, -1.0, 10), r"2 beta - R1 = "),
+    "a_of_t": (
+        lambda: a_of_t(ClassParams(0.0, 0.2, 1.7e308),
+                       SchwarzFunction.monomial(0.5, 2), 0.9),
+        "a_of_t"),
+    "convolution_scan-lam0.2": (
+        lambda: convolution_scan(tail(0.1), BIG_GAMMA, WP), r"2 beta - R1 = "),
+    "convolution_scan-lam0": (
+        lambda: convolution_scan(tail(0.1), ClassParams(0.0, 0.0, 1e308), WP),
+        r"2 beta - R1 = "),
+    "apply_operator-beta1.46": (
+        lambda: apply_operator(WrightParams(0.0, 1.46), tail(1.7e308)),
+        "apply_operator"),
+    # np.convolve sets no floating-point flag: both functions check its result
+    "series_identity_oracle": (
+        lambda: series_identity_oracle(
+            tail(1e308), caratheodory_series(SchwarzFunction([0, 0.3, 0.6j]), 3),
+            BIG_GAMMA, WP),
+        r"series_identity_oracle: .*\(overflow encountered in convolve\)"),
+    "extraction_residuals": (
+        lambda: extraction_residuals(
+            tail(1e308, 1e308, 1e308), caratheodory_series(SchwarzFunction([0, 0.9]), 5),
+            ClassParams(0.0, 0.2, 1e300), WP),
+        r"extraction_residuals: .*\(overflow encountered in convolve\)"),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_RANGE)
+def test_values_past_the_double_range_raise_overflow_naming_the_source(case):
+    """No RuntimeWarning, no result built on inf or nan, no ParameterError:
+    an OverflowError naming the function or the Python-scalar constant."""
+    call, name = PAST_THE_RANGE[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=f"^{name}"):
+            call()
 
 
 @pytest.mark.parametrize(
