@@ -1,7 +1,10 @@
-"""Golden CLI outputs: stdout and exit code for a fixed set of invocations.
+"""Golden CLI outputs: exit code, stdout, stderr and ``--out`` files for a
+fixed set of invocations.
 
 Each golden file ``tests/golden/<name>.txt`` holds the exit code on its
-first line (``exit=N``) followed by the captured stdout verbatim.  The
+first line (``exit=N``) followed by the captured stdout verbatim;
+``<name>.stderr.txt`` holds the captured stderr, and a case that writes
+``--out <file>`` has that file pinned as ``tests/golden/<file>``.  The
 comparison keeps every non-numeric token exact, compares numbers to a
 relative 1e-12, and compares rounding-level columns (identity residuals,
 closed/recursive differences, extraction maxima) to an absolute 1e-12.
@@ -82,7 +85,8 @@ ABS_TOL = 1e-12
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
-def _run_cases(workdir: Path) -> dict[str, tuple[int, str]]:
+def _run_cases(workdir: Path) -> dict[str, tuple[int, str, dict[str, str]]]:
+    """Per case: exit code, stdout, and its other pinned texts by golden file name."""
     (workdir / "weights.csv").write_text(WEIGHTS_CSV)
     results = {}
     old_cwd, old_seed = os.getcwd(), os.environ.get("WRIGHTLENS_SEED")
@@ -96,7 +100,11 @@ def _run_cases(workdir: Path) -> dict[str, tuple[int, str]]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(list(argv))
-            results[name] = (code, out.getvalue())
+            pinned = {f"{name}.stderr.txt": err.getvalue()}
+            if "--out" in argv:
+                path = argv[argv.index("--out") + 1]
+                pinned[path] = (workdir / path).read_text()
+            results[name] = (code, out.getvalue(), pinned)
     finally:
         os.chdir(old_cwd)
         if old_seed is None:
@@ -168,9 +176,11 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", [name for name, _, _ in CASES])
 def test_golden_output(outputs, name):
     want_code, want_out = _read_golden(name)
-    code, out = outputs[name]
+    code, out, pinned = outputs[name]
     assert code == want_code
     compare_output(name, want_out, out)
+    for file_name, text in pinned.items():
+        compare_output(file_name, (GOLDEN / file_name).read_text(), text)
 
 
 def test_comparison_tolerances():
@@ -190,8 +200,10 @@ def regenerate() -> None:
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (code, out) in _run_cases(Path(tmp)).items():
+        for name, (code, out, pinned) in _run_cases(Path(tmp)).items():
             (GOLDEN / f"{name}.txt").write_text(f"exit={code}\n{out}")
+            for file_name, text in pinned.items():
+                (GOLDEN / file_name).write_text(text)
 
 
 if __name__ == "__main__":
