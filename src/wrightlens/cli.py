@@ -85,9 +85,12 @@ def parse_schwarz(text: str) -> member_mod.SchwarzFunction:
 def get_seed() -> int:
     raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ParameterError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        seed = -1
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ParameterError(f"{SEED_ENV} must be a nonnegative integer, got {raw!r}")
+    return seed
 
 
 def _check_size_limits(args) -> None:
@@ -444,14 +447,17 @@ def _write(outputs) -> None:
             streams[dest].writelines(lines)
 
 
+def _execute(args) -> int:
+    code, outputs = args.func(args)
+    _write(outputs)
+    return code
+
+
 def _run(args) -> int:
     try:
         _check_size_limits(args)
         # a floating-point fault that no layer handles is a numerical failure
-        with _in_range(args.command):
-            code, outputs = args.func(args)
-            _write(outputs)
-        return code
+        return _in_range(args.command)(_execute)(args)
     except (
         ParameterError, CoefficientFileError, ArithmeticError, EvalDomainError
     ) as exc:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -76,12 +75,6 @@ class LaurentSeries:
     def truncation(self) -> int:
         return len(self.coeffs)
 
-    def coefficient(self, n: int) -> complex:
-        """Tail coefficient a_n (1-based); zero beyond the truncation."""
-        if n < 1:
-            raise ParameterError(f"coefficient index must be >= 1, got {n!r}")
-        return complex(self.coeffs[n - 1]) if n <= self.truncation else 0j
-
 
 @dataclass(frozen=True, eq=False)
 class TaylorSeries:
@@ -96,18 +89,25 @@ class TaylorSeries:
         object.__setattr__(self, "coeffs", arr)
 
 
-@contextmanager
 def _in_range(name: str):
-    """Raise numpy's floating-point faults, as a ``with`` block or a decorator:
-    a value leaving the double range ends ``name`` (the innermost one covering
-    it) with :class:`OverflowError`, not with a result built on inf or nan."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise OverflowError(
-            f"{name}: a value exceeds the floating-point range ({exc})"
-        ) from None
+    """Decorator raising numpy's floating-point faults: a value leaving the
+    double range ends ``name`` (the innermost decorated call covering it) with
+    :class:`OverflowError`, not with a result built on inf or nan."""
+
+    def decorate(func):
+        @wraps(func)
+        def checked(*args, **kwargs):
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    return func(*args, **kwargs)
+            except FloatingPointError as exc:
+                raise OverflowError(
+                    f"{name}: a value exceeds the floating-point range ({exc})"
+                ) from None
+
+        return checked
+
+    return decorate
 
 
 @_in_range("hadamard")

@@ -1,4 +1,4 @@
-"""Real-argument gamma function and the factorially-damped series it feeds.
+"""The kernel coefficients phi_n and the factorially-damped series they feed.
 
 The operator kernel used throughout the package is built from coefficients
 
@@ -9,7 +9,8 @@ starts at the linear term; there is no constant term.
 
 Every gamma value comes in log space from the standard library's
 math.lgamma, with the sign of Gamma(x) for x < 0 from the parity of
-floor(x); phi_n is then sign * exp(-log|Gamma(alpha*n + beta) n!|).
+floor(x); phi_n is then sign * exp(-log|Gamma(alpha*n + beta) n!|), built
+once per (alpha, beta) into a memoised table that every reader shares.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .errors import ConvergenceError, ParameterError, PoleError
 __all__ = [
     "WrightParams",
     "WrightEval",
-    "gamma",
-    "signed_lgamma",
-    "phi",
     "phi_values",
     "wright_eval",
 ]
@@ -84,36 +82,12 @@ def _pole_error(params: WrightParams, bad) -> PoleError:
     )
 
 
-def signed_lgamma(x: float) -> tuple[float, float]:
-    """(sign, log|Gamma(x)|) as floats; x within 1e-12 of a pole raises PoleError."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ParameterError(f"gamma argument must be finite, got {x!r}")
-    sign, log_abs = _signed_lgamma(np.array([x]))
-    if not sign[0]:
-        raise PoleError(f"gamma pole at x={x!r}")
-    return float(sign[0]), float(log_abs[0])
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for real x, as sign * exp(log|Gamma(x)|) from :func:`signed_lgamma`.
-
-    Relative error <= 1e-12 on [0.1, 50].  Arguments within 1e-12 of a
-    non-positive integer raise :class:`PoleError`, and x above about 171.6
-    :class:`OverflowError`; below -171.6 Gamma(x) underflows towards zero.
-    """
-    sign, log_abs = signed_lgamma(x)
-    if log_abs == math.inf:  # log|Gamma(x)| itself overflowed
-        raise OverflowError("math range error")
-    return sign * math.exp(log_abs)
-
-
 @dataclass(frozen=True)
 class WrightParams:
     """Kernel parameters (alpha, beta) with alpha > -1 and beta > 0.
 
     Gamma arguments alpha*n + beta may still hit poles for particular
-    indices; :func:`phi`, :func:`phi_values` and :func:`wright_eval` raise
+    indices; :func:`phi_values` and :func:`wright_eval` raise
     :class:`PoleError` when they reach one.
     """
 
@@ -127,25 +101,6 @@ class WrightParams:
             raise ParameterError(f"alpha must exceed -1, got {self.alpha!r}")
         if self.beta <= 0.0:
             raise ParameterError(f"beta must be positive, got {self.beta!r}")
-
-
-def _phi(params: WrightParams, n: np.ndarray) -> np.ndarray:
-    sign, log_inv = _log_inverse_phi(params, n)
-    if not sign.all():
-        raise _pole_error(params, n[sign == 0.0])
-    return sign * np.exp(-log_inv)
-
-
-def phi(params: WrightParams, n: int) -> float:
-    """Kernel coefficient 1 / (Gamma(alpha*n + beta) * n!).
-
-    Formed as sign * exp(-log|Gamma(alpha*n + beta) n!|), like
-    :func:`phi_values`, so no intermediate overflows for indices whose
-    coefficient is representable.
-    """
-    if n < 1:
-        raise ParameterError(f"coefficient index must be >= 1, got {n!r}")
-    return float(_phi(params, np.array([float(n)]))[0])
 
 
 @lru_cache(maxsize=64)

@@ -656,6 +656,18 @@ class TestVerifyIdentities:
         _, third, _ = run(capsys, *args)
         assert third != first
 
+    @pytest.mark.parametrize("seed", ["-1", "seven"])
+    def test_bad_seed_exits_2_before_output(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("WRIGHTLENS_SEED", seed)
+        code, out, err = run(
+            capsys, "verify-identities", *self.CLASS_ARGS, "--random", "2",
+            "--n-max", "8",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: WRIGHTLENS_SEED must be a nonnegative integer, got {seed!r}\n"
+        )
+
     def test_needs_a_source(self, capsys):
         code, _, _ = run(capsys, "verify-identities", *self.CLASS_ARGS)
         assert code == 2

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -13,13 +14,10 @@ from wrightlens import (
     ParameterError,
     PoleError,
     WrightParams,
-    gamma,
-    phi,
     phi_values,
-    signed_lgamma,
     wright_eval,
 )
-from wrightlens.special import _phi
+from wrightlens.special import _coefficient_table, _log_inverse_phi, _signed_lgamma
 
 from param_grids import WRIGHT_PAIRS
 
@@ -40,65 +38,77 @@ def kahan_series_oracle(alpha, beta, z, terms=200):
     return total
 
 
+def route(x):
+    """(sign, log|Gamma(x)|) of one argument from the package's log-gamma route."""
+    sign, log_abs = _signed_lgamma(np.array([float(x)]))
+    return float(sign[0]), float(log_abs[0])
+
+
+def route_gamma(x):
+    """Gamma(x) as sign * exp(log|Gamma(x)|) from the route."""
+    sign, log_abs = route(x)
+    return sign * math.exp(log_abs)
+
+
 class TestGamma:
+    """The one log-gamma route behind every phi_n, against independent gammas."""
+
     def test_known_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, rel=1e-12)
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-12)
-        assert gamma(0.5) == pytest.approx(1.7724538509055160, rel=1e-12)
+        assert route_gamma(1.0) == pytest.approx(1.0, rel=1e-12)
+        assert route_gamma(5.0) == pytest.approx(24.0, rel=1e-12)
+        assert route_gamma(0.5) == pytest.approx(1.7724538509055160, rel=1e-12)
 
     def test_matches_stdlib_on_contract_range(self):
-        # independent oracle: math.gamma
-        for x in np.linspace(0.1, 50.0, 997):
-            assert gamma(float(x)) == pytest.approx(math.gamma(float(x)), rel=1e-12)
+        # independent oracle: math.gamma, here over the route's vector form
+        xs = np.linspace(0.1, 50.0, 997)
+        sign, log_abs = _signed_lgamma(xs)
+        got = sign * np.exp(log_abs)
+        assert got == pytest.approx([math.gamma(x) for x in xs.tolist()], rel=1e-12)
 
     def test_reflection_region(self):
         for x in (-0.5, -1.5, -2.3, -7.7, -19.25, -0.1, 0.3, 0.49):
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+            assert route_gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -7.0, -3.0 + 1e-13, 2e-13 - 2.0])
     def test_pole_errors(self, x):
-        with pytest.raises(PoleError):
-            gamma(x)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ParameterError):
-            gamma(math.inf)
+        # a pole gets sign 0, so its phi_n is 0; the readers raise PoleError
+        assert route(x) == (0.0, math.inf)
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(min_value=0.1, max_value=40.0))
     def test_recurrence_identity(self, x):
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
+        assert route_gamma(x + 1.0) == pytest.approx(x * route_gamma(x), rel=1e-12)
 
     def test_signed_lgamma_matches_mpmath(self):
         # independent oracle: 40-digit mpmath, since the route is math.lgamma
         with mpmath.workdps(40):
             for x in np.geomspace(0.1, 120.0, 500):
-                sign, log_abs = signed_lgamma(float(x))
+                sign, log_abs = route(x)
                 assert sign == 1.0
                 want = float(mpmath.loggamma(float(x)))
                 assert log_abs == pytest.approx(want, abs=1e-11, rel=1e-13)
 
     def test_signed_lgamma_negative_sign(self):
         # Gamma alternates sign between consecutive negative integers
-        assert signed_lgamma(-0.5)[0] == -1.0
-        assert signed_lgamma(-1.5)[0] == 1.0
-        assert signed_lgamma(-2.5)[0] == -1.0
+        assert route(-0.5)[0] == -1.0
+        assert route(-1.5)[0] == 1.0
+        assert route(-2.5)[0] == -1.0
 
     def test_large_argument_overflow(self):
-        with pytest.raises(OverflowError):
-            gamma(172.0)
+        # Gamma(172) is past the double range, its logarithm is not
+        log_abs = route(172.0)[1]
+        assert log_abs == pytest.approx(math.lgamma(172.0), rel=1e-15)
+        assert log_abs > math.log(sys.float_info.max)
 
     @pytest.mark.parametrize("x", [1e306, 1e308])
     def test_overflow_past_the_log_range(self, x):
-        # log|Gamma(x)| itself leaves the double range here
-        assert signed_lgamma(x) == (1.0, math.inf)
-        with pytest.raises(OverflowError):
-            gamma(x)
+        # log|Gamma(x)| itself leaves the double range here, so phi_n is 0
+        assert route(x) == (1.0, math.inf)
 
     @pytest.mark.parametrize("x", [-170.5, -171.7, -200.5, -1000.5])
     def test_far_negative_arguments_underflow(self, x):
         # Gamma(x) here is tiny, subnormal or a signed zero: never an overflow
-        got, want = gamma(x), math.gamma(x)
+        got, want = route_gamma(x), math.gamma(x)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
@@ -121,41 +131,41 @@ class TestWrightParams:
 
 class TestPhi:
     def test_hand_values(self):
-        assert phi(WrightParams(0.0, 1.0), 2) == pytest.approx(0.5, rel=1e-12)
-        assert phi(WrightParams(1.0, 1.0), 2) == pytest.approx(0.25, rel=1e-12)
+        assert phi_values(WrightParams(0.0, 1.0), 2)[1] == pytest.approx(0.5, rel=1e-12)
+        assert phi_values(WrightParams(1.0, 1.0), 2)[1] == pytest.approx(0.25, rel=1e-12)
         # Gamma(0.5*3 + 1.5) = Gamma(3) = 2, so 1/(2 * 6)
-        assert phi(WrightParams(0.5, 1.5), 3) == pytest.approx(1.0 / 12.0, rel=1e-12)
+        assert phi_values(WrightParams(0.5, 1.5), 3)[2] == pytest.approx(
+            1.0 / 12.0, rel=1e-12
+        )
 
     @pytest.mark.parametrize("alpha,beta", WRIGHT_PAIRS + ((-0.3, 0.75), (2.0, 0.25)))
     def test_inverse_identity(self, alpha, beta):
         # phi * Gamma * n! == 1, with the Gamma and factorial from stdlib
-        wp = WrightParams(alpha, beta)
+        values = phi_values(WrightParams(alpha, beta), 30)
         for n in range(1, 31):
-            value = phi(wp, n) * math.gamma(alpha * n + beta) * math.factorial(n)
+            value = values[n - 1] * math.gamma(alpha * n + beta) * math.factorial(n)
             assert value == pytest.approx(1.0, rel=1e-12)
 
     def test_pole_error(self):
-        with pytest.raises(PoleError):
-            phi(WrightParams(-0.5, 0.5), 1)
+        # the table holds the pole as phi_n = 0; the reader that reaches it raises
+        wp = WrightParams(-0.5, 0.5)
+        sign, _, values = _coefficient_table(wp, 64)
+        assert (sign[0], values[0]) == (0.0, 0.0)
+        with pytest.raises(PoleError, match=r"at n=\[1\] for"):
+            phi_values(wp, 1)
 
     def test_bad_index(self):
-        with pytest.raises(ParameterError):
-            phi(WrightParams(0.0, 1.0), 0)
+        wp = WrightParams(0.0, 1.0)
+        assert phi_values(wp, 0).size == 0
+        with pytest.raises(ParameterError, match="n_max must be >= 0"):
+            phi_values(wp, -1)
 
     @pytest.mark.filterwarnings("error")
     def test_argument_past_the_double_range_gives_zero(self):
         # alpha*n + beta is inf from n = 2 on, and phi_1 underflows
         wp = WrightParams(1.7e308, 1.0)
         assert phi_values(wp, 5).tolist() == [0.0] * 5
-        assert phi(wp, 3) == 0.0
         assert wright_eval(wp, 0.5) == (0j, 1, math.inf)
-
-    def test_phi_values_matches_scalar(self):
-        wp = WrightParams(0.5, 1.5)
-        vals = phi_values(wp, 12)
-        assert vals.shape == (12,)
-        for n in range(1, 13):
-            assert vals[n - 1] == phi(wp, n)
 
 
 class TestCoefficientTable:
@@ -165,12 +175,13 @@ class TestCoefficientTable:
     def test_prefix_is_bit_equal_to_one_route_call(self, alpha, beta):
         wp = WrightParams(alpha, beta)
         for n_max in range(0, 301):
-            try:
-                want = _phi(wp, np.arange(1, n_max + 1))
-            except PoleError as exc:
-                with pytest.raises(PoleError, match=re.escape(str(exc))):
+            sign, log_inv = _log_inverse_phi(wp, np.arange(1.0, n_max + 1))
+            if not sign.all():
+                poles = (np.flatnonzero(sign == 0.0) + 1).tolist()
+                with pytest.raises(PoleError, match=re.escape(f"at n={poles} for")):
                     phi_values(wp, n_max)
                 continue
+            want = sign * np.exp(-log_inv)
             assert phi_values(wp, n_max).tobytes() == want.tobytes(), n_max
 
     def test_pole_past_n_max_is_not_reached(self):
@@ -223,23 +234,25 @@ class TestMpmathOracle:
     def test_gamma(self):
         for x in ORACLE_XS:
             want = mpmath.gamma(x)
-            assert float(abs((gamma(x) - want) / want)) <= 1e-12, x
+            assert float(abs((route_gamma(x) - want) / want)) <= 1e-12, x
 
     def test_signed_lgamma(self):
         for x in ORACLE_XS:
             want = mpmath.gamma(x)
-            sign, log_abs = signed_lgamma(x)
+            sign, log_abs = route(x)
             assert sign == mpmath.sign(want), x
             want_log = mpmath.log(abs(want))
             assert float(abs(log_abs - want_log)) <= 1e-12 * max(1.0, abs(want_log)), x
 
 
 def termwise_wright(wp, z):
-    """wright_eval's sum with scalar phi: (value, terms, cancellation) or None."""
+    """wright_eval's sum, each phi_n read at its own order n so that a pole
+    past the stopping index is never read: (value, terms, cancellation), or
+    None past 500 terms."""
     total, mass, z_pow = 0j, 0.0, 1.0 + 0j
     for n in range(1, 501):
         z_pow *= z
-        term = phi(wp, n) * z_pow
+        term = float(phi_values(wp, n)[n - 1]) * z_pow
         total += term
         mass += abs(term)
         if abs(term) <= 1e-16 * (1.0 + abs(total)):
